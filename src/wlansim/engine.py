@@ -4,14 +4,29 @@ Time is integer microseconds. The channel alternates between idle spans and
 busy periods, and during an idle span every station has a computable next
 attempt instant:
 
-  legacy            anchor + DIFS + b slots (counted from the idle onset the
-                    station observed)
+  legacy            release + DIFS + b slots (b counted from the idle onset
+                    the station observed)
   deterministic     its absolute deadline, unaligned to any slot grid
   hold carry-over   the exact channel-release instant
-  reduced backoff   anchor + DIFS + rb slots
+  reduced backoff   release + DIFS + rb slots
+
+Idle slots are counted lazily on a virtual clock. Every backoff station
+(legacy or reduced) counts on one shared grid that starts DIFS after the
+last channel release, so the loop keeps a single tally `banked` of the idle
+slots counted down so far and files each such station in a heap under the
+key banked + b; its fire instant is release + DIFS + (key - banked) slots.
+When a busy period starts, the slots that elapsed before it are banked in
+one step by advancing the tally, not station by station. Two kinds of
+station count from an anchor of their own instead: one that reverts to
+legacy on a CCA flip while nobody transmits (anchor: that instant), and a
+phantom hold that arms a reduced backoff (anchor: the end of the hold).
+They wait off the grid, are banked one by one at the next busy period, and
+then rejoin the grid. Deterministic deadlines sit in a second heap, and
+carried-over holds in a small map, so one event costs O(log n).
 
 The loop repeatedly takes the earliest such instant, lets every station due
-at it start transmitting (simultaneous starts collide), and resolves the
+at it start transmitting (simultaneous starts collide; ties across the
+grid, the deadlines and the off-grid stations are all due), and resolves the
 busy period that follows: data frames that overlap in time form one
 collision, a lone frame is a success and its ACK arrives SIFS after it
 ends. Outcomes are applied at the channel-release instant; the ACK timeout
@@ -40,6 +55,10 @@ false-idle sample during someone else's data frame produces a staggered
 overlap, recorded as CcaError for the sampler and Collision for its
 victims; a false-idle sample landing in a busy tail that no data frame
 covers goes through clean and is recorded as a Success.
+
+A broken engine invariant (an event in the past, a backoff that ran out
+unnoticed on or off the grid, a deadline before the release that follows
+it) raises RuntimeError; the checks are explicit, so `python -O` keeps them.
 """
 from __future__ import annotations
 
@@ -147,14 +166,26 @@ def _overlap_groups(txs: list[ActiveTransmission]) -> list[list[ActiveTransmissi
     return groups
 
 
-def resolve_overlap(active) -> dict[int, Outcome]:
-    """Success for a lone transmission, Collision for every overlapping one."""
+def _classify(groups: list[list[ActiveTransmission]],
+              flip_joins=frozenset()) -> dict[int, Outcome]:
     out: dict[int, Outcome] = {}
-    for group in _overlap_groups(list(active)):
-        verdict = Outcome.SUCCESS if len(group) == 1 else Outcome.COLLISION
+    for group in groups:
+        if len(group) == 1:
+            out[group[0].station] = Outcome.SUCCESS
+            continue
         for tx in group:
-            out[tx.station] = verdict
+            out[tx.station] = (Outcome.CCA_ERROR if tx.station in flip_joins
+                               else Outcome.COLLISION)
     return out
+
+
+def resolve_overlap(active, flip_joins=frozenset()) -> dict[int, Outcome]:
+    """Success for a lone transmission, Collision for every overlapping one.
+
+    A station in `flip_joins` started on a false-idle CCA sample; if its
+    frame overlaps another it is recorded as CcaError instead of Collision.
+    """
+    return _classify(_overlap_groups(list(active)), flip_joins)
 
 
 def _release_time(groups: list[list[ActiveTransmission]],
@@ -187,41 +218,97 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     rng = RandomSource(config.seed)
     states = [initial_station(i, config.protocol, rng) for i in range(n)]
     kind = [_LEGACY] * n
-    anchor = [0] * n    # [us] idle-onset reference for the slot cadences
     rb_slots = [0] * n  # reduced-backoff draw, valid while kind is _REDUCED
-    carry_at = [0] * n  # fire instant, valid while kind is _CARRY
-    has_det = config.protocol is ProtocolKind.CF_MAC
+    # virtual idle-slot clock: a station on the shared grid with key K fires
+    # at release + DIFS + (K - banked) slots
+    release = 0  # [us] instant the channel last went idle
+    banked = 0   # idle slots counted down on the shared grid so far
+    gkey: list[int | None] = [s.backoff.b for s in states]  # live grid key
+    # (key, station); an entry whose key is not its station's gkey is stale
+    # and is dropped when it reaches the top
+    grid = [(k, i) for i, k in enumerate(gkey)]
+    heapq.heapify(grid)
+    # (deadline, station) of every _SCHEDULED station; an entry leaves the
+    # heap before its station's kind or deadline can change, so none go stale
+    det: list[tuple[int, int]] = []
+    loose: dict[int, int] = {}  # off-grid _LEGACY/_REDUCED station -> anchor
+    carry: dict[int, int] = {}  # _CARRY station -> fire instant
+    reduced: set[int] = set()   # _REDUCED stations still counting down
     records: list[TransmissionRecord] = []
     clock = 0
 
+    def place(i: int) -> None:
+        # file a station whose kind or counter changed in a busy period
+        k = kind[i]
+        if k == _SCHEDULED:
+            heapq.heappush(det, (states[i].deadline, i))
+        elif k == _CARRY:
+            carry[i] = release
+        else:
+            key = banked + (rb_slots[i] if k == _REDUCED
+                            else states[i].backoff.b)
+            if gkey[i] != key:
+                gkey[i] = key
+                heapq.heappush(grid, (key, i))
+
+    def off_grid_at(i: int) -> int:
+        # fire instant of a station in `loose`, counted from its own anchor
+        b = rb_slots[i] if kind[i] == _REDUCED else states[i].backoff.b
+        return loose[i] + difs + b * slot
+
+    def cover(hi: int, events: list[tuple[int, int, int]]) -> None:
+        # every deadline before hi becomes a probe inside the busy span
+        while det and det[0][0] < hi:
+            d, j = heapq.heappop(det)
+            heapq.heappush(events, (d, 0, j))
+
     while True:
-        t_next = None
-        winners: list[int] = []
-        for i in range(n):
-            k = kind[i]
-            if k == _LEGACY:
-                c = anchor[i] + difs + states[i].backoff.b * slot
-            elif k == _SCHEDULED:
-                c = states[i].deadline
-            elif k == _CARRY:
-                c = carry_at[i]
-            else:
-                c = anchor[i] + difs + rb_slots[i] * slot
-            if t_next is None or c < t_next:
-                t_next = c
-                winners = [i]
-            elif c == t_next:
-                winners.append(i)
+        # drop invalidated grid tops, then take the earliest fire instant
+        while grid and gkey[grid[0][1]] != grid[0][0]:
+            heapq.heappop(grid)
+        t_next = duration_us
+        if grid:
+            grid_at = release + difs + (grid[0][0] - banked) * slot
+            t_next = min(t_next, grid_at)
+        if det:
+            t_next = min(t_next, det[0][0])
+        for c in carry.values():
+            t_next = min(t_next, c)
+        for i in loose:
+            t_next = min(t_next, off_grid_at(i))
         if t_next >= duration_us:
             break
-        assert t_next >= clock, "event scheduled in the past"
+        if t_next < clock:
+            raise RuntimeError(f"event scheduled in the past: {t_next} us "
+                               f"< {clock} us")
         clock = t_next
+
+        winners: list[int] = []
+        if grid and grid_at == t_next:
+            key = grid[0][0]
+            while grid and grid[0][0] == key:
+                i = heapq.heappop(grid)[1]
+                if gkey[i] == key:
+                    gkey[i] = None
+                    winners.append(i)
+        while det and det[0][0] == t_next:
+            winners.append(heapq.heappop(det)[1])
+        for i in [i for i, c in carry.items() if c == t_next]:
+            del carry[i]
+            winners.append(i)
+        for i in [i for i in loose if off_grid_at(i) == t_next]:
+            del loose[i]
+            winners.append(i)
+        winners.sort()
+        if reduced:
+            reduced.difference_update(winners)
 
         # stations due now fire unless a CCA flip makes them see a phantom
         # busy; flipped scheduled stations start a hold window, flipped
         # reduced-backoff stations take the busy finding as final and revert
         txers: list[int] = []
         flip_holders: list[int] = []
+        reverted: list[int] = []
         for i in winners:
             if kind[i] in (_SCHEDULED, _REDUCED) \
                     and not cca_sample(True, rng, p_err):
@@ -231,116 +318,112 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                     flip_holders.append(i)
                 else:
                     kind[i] = _LEGACY
-                    anchor[i] = t_next
+                    reverted.append(i)
             else:
                 txers.append(i)
 
         if not txers:
-            # nothing actually transmitted; the phantom holds fail against a
-            # channel that never clears in their eyes and arm the fallback
+            # nothing actually transmitted, so the shared grid stands; the
+            # reverted stations count from now, and the phantom holds fail
+            # against a channel that never clears in their eyes and arm the
+            # fallback counted from the end of the hold
+            for i in reverted:
+                loose[i] = t_next
             for i in flip_holders:
                 decision = cfmac_probe(states[i], False, t_next + hold_us, rng)
                 states[i] = decision.state
                 kind[i] = _REDUCED
                 rb_slots[i] = decision.slots
-                anchor[i] = t_next + hold_us
+                loose[i] = t_next + hold_us
+                reduced.add(i)
             continue
 
         # --- busy period ---
         t0 = t_next
-        due = set(winners)
+        moved = set(winners)
+        # bank the idle slots that elapsed before the channel went busy: one
+        # step of the virtual clock for the shared grid, one by one off it
+        elapsed = (t0 - release - difs) // slot
+        if elapsed > 0:
+            banked += elapsed
+            while grid and gkey[grid[0][1]] != grid[0][0]:
+                heapq.heappop(grid)
+            if grid and grid[0][0] - banked < 1:
+                raise RuntimeError(f"shared-grid backoff of station "
+                                   f"{grid[0][1]} ran out unnoticed")
+        for i, a in loose.items():
+            elapsed = (t0 - a - difs) // slot
+            if kind[i] == _LEGACY and elapsed > 0:
+                st = states[i]
+                b = st.backoff.b - elapsed
+                if b < 1:
+                    raise RuntimeError(f"backoff of off-grid station {i} "
+                                       f"ran out unnoticed")
+                states[i] = replace(st, backoff=replace(st.backoff, b=b))
+        moved.update(loose)
+        loose.clear()
+        # a new transmission interrupted the reduced countdowns: that is the
+        # second busy finding, those stations abandon their claims
+        for i in sorted(reduced):
+            decision = cfmac_probe(states[i], False, t0, rng)
+            states[i] = decision.state
+            kind[i] = _LEGACY
+        moved.update(reduced)
+        reduced.clear()
+
         active = [ActiveTransmission(i, t0, t0 + data_us) for i in txers]
         mode_at = {i: states[i].mode for i in txers}
         flip_joins: set[int] = set()
-        handled = due | set(flip_holders)
+        groups = _overlap_groups(active)
+        free_at = _release_time(groups, sifs_ack_us, difs)
+        holders = set(flip_holders)
 
-        for i in range(n):
-            if i in due:
-                continue
-            if kind[i] == _LEGACY:
-                # bank the idle slots that elapsed before the channel went busy
-                elapsed = (t0 - anchor[i] - difs) // slot
-                if elapsed > 0:
-                    st = states[i]
-                    b = st.backoff.b - elapsed
-                    assert b >= 1, "non-winner backoff ran out unnoticed"
-                    states[i] = replace(st, backoff=replace(st.backoff, b=b))
-            elif kind[i] == _REDUCED:
-                # a new transmission interrupted the countdown: that is the
-                # second busy finding, the station abandons its claim
-                decision = cfmac_probe(states[i], False, t0, rng)
+        # deadline probes and hold expiries inside the busy span, in time
+        # order; false-idle samples join mid-air and push the release
+        # further out, uncovering later deadlines
+        events = [(t0 + hold_us, 1, i) for i in flip_holders]
+        cover(free_at, events)
+        while events and events[0][0] < free_at:
+            tme, tag, i = heapq.heappop(events)
+            if tag == 0:
+                moved.add(i)
+                if cca_sample(False, rng, p_err):
+                    # phantom idle: transmit into the ongoing traffic
+                    active.append(ActiveTransmission(i, tme, tme + data_us))
+                    mode_at[i] = states[i].mode
+                    flip_joins.add(i)
+                    groups = _overlap_groups(active)
+                    grown = _release_time(groups, sifs_ack_us, difs)
+                    if grown > free_at:
+                        cover(grown, events)
+                        free_at = grown
+                    continue
+                decision = cfmac_probe(states[i], False, tme, rng)
                 states[i] = decision.state
-                kind[i] = _LEGACY
-
-        free_at = _release_time(_overlap_groups(active), sifs_ack_us, difs)
-        holders: dict[int, int] = {i: t0 for i in flip_holders}
-
-        if has_det:
-            # deadline probes and hold expiries inside the busy span, in
-            # time order; false-idle samples join mid-air and push the
-            # release further out, uncovering later deadlines
-            events: list[tuple[int, int, int]] = []
-            for i in flip_holders:
-                heapq.heappush(events, (t0 + hold_us, 1, i))
-
-            def cover(lo: int, hi: int, inclusive: bool) -> None:
-                for j in range(n):
-                    if j in handled or kind[j] != _SCHEDULED:
-                        continue
-                    d = states[j].deadline
-                    if (d > lo or (inclusive and d == lo)) and d < hi:
-                        handled.add(j)
-                        heapq.heappush(events, (d, 0, j))
-
-            cover(t0, free_at, False)
-            while events and events[0][0] < free_at:
-                tme, tag, i = heapq.heappop(events)
-                if tag == 0:
-                    if cca_sample(False, rng, p_err):
-                        # phantom idle: transmit into the ongoing traffic
-                        active.append(ActiveTransmission(i, tme, tme + data_us))
-                        mode_at[i] = states[i].mode
-                        flip_joins.add(i)
-                        grown = _release_time(_overlap_groups(active),
-                                              sifs_ack_us, difs)
-                        if grown > free_at:
-                            cover(free_at, grown, True)
-                            free_at = grown
-                        continue
-                    decision = cfmac_probe(states[i], False, tme, rng)
-                    states[i] = decision.state
-                    if decision.action is ProbeAction.HOLD_PROBE:
-                        holders[i] = tme
-                        heapq.heappush(events, (tme + hold_us, 1, i))
-                    else:
-                        kind[i] = _LEGACY
+                if decision.action is ProbeAction.HOLD_PROBE:
+                    holders.add(i)
+                    heapq.heappush(events, (tme + hold_us, 1, i))
                 else:
-                    decision = cfmac_probe(states[i], False, tme, rng)
-                    states[i] = decision.state
-                    kind[i] = _REDUCED
-                    rb_slots[i] = decision.slots
-                    del holders[i]
+                    kind[i] = _LEGACY
+            else:
+                decision = cfmac_probe(states[i], False, tme, rng)
+                states[i] = decision.state
+                kind[i] = _REDUCED
+                rb_slots[i] = decision.slots
+                reduced.add(i)
+                holders.remove(i)
 
         # holds that outlast the busy span fire at the release instant
-        for i in sorted(holders):
+        for i in holders:
             kind[i] = _CARRY
-            carry_at[i] = free_at
 
-        groups = _overlap_groups(active)
-        outcome: dict[int, Outcome] = {}
+        outcome = _classify(groups, flip_joins)
+        # groups list the transmissions in (start, station) order
         for group in groups:
             for tx in group:
-                if len(group) == 1:
-                    outcome[tx.station] = Outcome.SUCCESS
-                elif tx.station in flip_joins:
-                    outcome[tx.station] = Outcome.CCA_ERROR
-                else:
-                    outcome[tx.station] = Outcome.COLLISION
-
-        for tx in sorted(active, key=lambda t: (t.start, t.station)):
-            records.append(TransmissionRecord(tx.station, tx.start, tx.end,
-                                              outcome[tx.station],
-                                              mode_at[tx.station]))
+                records.append(TransmissionRecord(tx.station, tx.start, tx.end,
+                                                  outcome[tx.station],
+                                                  mode_at[tx.station]))
 
         for tx in sorted(active, key=lambda t: t.station):
             i = tx.station
@@ -351,12 +434,14 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                                        n=n, rate=rate, table=table)
             kind[i] = _SCHEDULED if states[i].mode is Mode.DETERMINISTIC \
                 else _LEGACY
-            assert states[i].deadline is None or states[i].deadline >= free_at
+            if states[i].deadline is not None and states[i].deadline < free_at:
+                raise RuntimeError(f"station {i} scheduled its deadline "
+                                   f"{states[i].deadline} us before the "
+                                   f"release at {free_at} us")
 
-        for i in range(n):
-            if kind[i] in (_LEGACY, _REDUCED):
-                anchor[i] = free_at
-        clock = free_at
+        release = clock = free_at
+        for i in moved:
+            place(i)
 
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=rate,
                      payload_bytes=config.payload_bytes,

@@ -85,6 +85,16 @@ def test_resolve_overlap_mixed_groups():
     assert got == {0: Outcome.COLLISION, 1: Outcome.COLLISION, 2: Outcome.SUCCESS}
 
 
+def test_resolve_overlap_flip_joiner_is_a_cca_error():
+    # a station that started on a false-idle sample is blamed on its CCA;
+    # the frame it hit is a plain collision, and a lone flip-joined frame
+    # (landing after every data frame ended) still succeeds
+    got = resolve_overlap([at(0, 100, 600), at(1, 400, 900), at(2, 1000, 1500)],
+                          flip_joins={1, 2})
+    assert got == {0: Outcome.COLLISION, 1: Outcome.CCA_ERROR,
+                   2: Outcome.SUCCESS}
+
+
 # -- single station -----------------------------------------------------------
 
 @pytest.mark.parametrize("protocol", list(ProtocolKind))
