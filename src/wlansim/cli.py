@@ -19,7 +19,7 @@ from pathlib import Path
 
 from .bianchi import DcfModelParams, solve_fixed_point
 from .engine import ConfigError, SimConfig, run_experiment
-from .metrics import MetricsReport
+from .metrics import MetricsReport, normalized_interarrival
 from .phy import SUPPORTED_RATES
 from .protocols import ProtocolKind
 from .schedule import DEFAULT_TABLE, ScheduleRow, ScheduleTable
@@ -135,25 +135,37 @@ def _parse_schedule(section: dict) -> ScheduleTable:
         if len(parts) != 2:
             raise ConfigError(f"schedule.{key}: expected 'share, epsilon', "
                               f"got {value!r}")
-        rows[rate] = ScheduleRow(share_us=_parse_float(f"schedule.{key}", parts[0]),
-                                 epsilon_us=_parse_float(f"schedule.{key}", parts[1]))
+        row = ScheduleRow(share_us=_parse_float(f"schedule.{key}", parts[0]),
+                          epsilon_us=_parse_float(f"schedule.{key}", parts[1]))
+        try:
+            row.total_us
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"schedule.{key}: {exc}") from None
+        rows[rate] = row
     return ScheduleTable(rows=rows)
 
 
 def _sections_from_file(path: Path) -> dict[str, dict]:
     if path.suffix.lower() == ".json":
-        with open(path) as fh:
-            data = json.load(fh)
+        try:
+            with open(path, encoding="utf-8") as fh:
+                data = json.load(fh)
+        except (ValueError, RecursionError) as exc:  # malformed, too deep
+            raise ConfigError(f"config: {exc}") from None
         if not isinstance(data, dict):
             raise ConfigError("config: top level must be an object")
-        return {str(k): dict(v) for k, v in data.items()}
+        for name, section in data.items():
+            if not isinstance(section, dict):
+                raise ConfigError(f"config: section {name} must be an object")
+        return data
     parser = configparser.ConfigParser()
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             parser.read_file(fh)
-    except configparser.Error as exc:
+        # values are interpolated on access, which can fail as well
+        return {name: dict(parser[name]) for name in parser.sections()}
+    except (configparser.Error, ValueError) as exc:
         raise ConfigError(f"config: {exc}") from None
-    return {name: dict(parser[name]) for name in parser.sections()}
 
 
 def parse_config(path: str | Path) -> ExperimentPlan:
@@ -180,7 +192,11 @@ def parse_config(path: str | Path) -> ExperimentPlan:
     if "warmup" in exp:
         plan.warmup_s = _parse_float("warmup", exp["warmup"])
     if "payload" in exp:
-        plan.payload_bytes = _parse_ints("payload", exp["payload"])[0]
+        payload = _parse_ints("payload", exp["payload"])
+        if len(payload) != 1:
+            raise ConfigError(f"payload: expected one integer, got "
+                              f"{exp['payload']!r}")
+        plan.payload_bytes = payload[0]
     if "cca_error" in exp:
         plan.cca_error_prob = _parse_float("cca_error", exp["cca_error"])
     out = sections.get("output", {})
@@ -188,6 +204,9 @@ def parse_config(path: str | Path) -> ExperimentPlan:
         if key not in _OUTPUT_KEYS:
             raise ConfigError(f"unknown config key: output.{key}")
     if "directory" in out:
+        if not isinstance(out["directory"], str):
+            raise ConfigError(f"directory: expected a path, got "
+                              f"{out['directory']!r}")
         plan.out_dir = Path(out["directory"])
     if "format" in out:
         plan.fmt = str(out["format"])
@@ -305,17 +324,16 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
             if n not in model_p:
                 model_p[n] = solve_fixed_point(DcfModelParams(n=n))[1]
             ref = cfmac_ref.get((rate, n, seed))
+            norm = normalized_interarrival(report.interarrival, ref) \
+                if ref else {}
             for i, thr in enumerate(report.per_station_throughput):
                 stats = report.interarrival.get(i)
-                norm = None
-                if stats is not None and ref:
-                    norm = stats.mean / ref
                 writer.writerow([
                     proto, rate, n, seed, i, _fmt(thr), "", "",
                     _fmt(stats.mean if stats else None),
                     _fmt(stats.std if stats else None),
                     _fmt(report.per_station_loss[i]), "",
-                    _fmt(model_p[n]), _fmt(norm),
+                    _fmt(model_p[n]), _fmt(norm.get(i)),
                 ])
             writer.writerow([
                 proto, rate, n, seed, "aggregate",

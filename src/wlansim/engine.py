@@ -48,6 +48,11 @@ release. One such episode is tolerated; the next busy finding (a new
 transmission interrupting the countdown, a busy sample at its fire instant,
 or a busy deadline probe) reverts the station to legacy contention.
 
+Once every station of an error-free run waits for a deadline and the
+deadlines are at least one frame exchange apart, the round robin is exact
+and absorbing; the loop then appends the rest of the run in closed form
+(`_periodic_tail`) and stops.
+
 Optional CCA noise flips the observed channel state with probability
 cca_error_prob at exactly two kinds of instants: deadline probes and
 reduced-backoff fire instants. Legacy slot sensing is always faithful. A
@@ -63,6 +68,7 @@ it) raises RuntimeError; the checks are explicit, so `python -O` keeps them.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass, replace
 
 from .metrics import MetricsReport, compute_report
@@ -102,8 +108,12 @@ class SimConfig:
     def validate(self) -> None:
         if self.n_stations < 1:
             raise ConfigError("n_stations must be at least 1")
-        if self.duration_s <= 0:
-            raise ConfigError("duration must be positive")
+        # the run is counted in whole microseconds, which must be finite too
+        if not (self.duration_s > 0
+                and math.isfinite(self.duration_s * 1_000_000)):
+            raise ConfigError("duration must be positive and finite")
+        if not math.isfinite(self.warmup_s):
+            raise ConfigError("warmup must be finite")
         if not 0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup must be non-negative and shorter than "
                               "the run")
@@ -199,6 +209,39 @@ def _release_time(groups: list[list[ActiveTransmission]],
     return release
 
 
+def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
+                   data_us: int, exchange_us: int, duration_us: int
+                   ) -> tuple[list[TransmissionRecord], dict[int, int]] | None:
+    """The rest of a converged CF-MAC run in closed form, or None.
+
+    Called with the (deadline, station) pair of every station once all n
+    wait for a deadline, none holds, backs off or counts off the grid, and
+    the CCA error probability is 0. If the sorted deadlines, taken
+    cyclically (the last one wraps to the first + cycle), are each at least
+    one frame exchange apart, the state is absorbing: the earliest station
+    finds the channel idle, transmits alone (its exchange ends by the next
+    deadline, so no probe lands inside it), succeeds without a random draw
+    and schedules itself one cycle after this start. The new deadlines have
+    the same gaps rotated by one, so the condition holds again. Station i
+    therefore transmits alone at d_i + k * cycle for every start before the
+    end of the run, and nothing else happens.
+
+    Returns those Deterministic-mode successes in start order and the
+    number each station adds to its success tally.
+    """
+    order = sorted(deadlines)
+    starts = [d for d, _ in order]
+    starts.append(starts[0] + cycle_us)
+    if any(b - a < exchange_us for a, b in zip(starts, starts[1:])):
+        return None
+    records = [TransmissionRecord(i, t, t + data_us, Outcome.SUCCESS,
+                                  Mode.DETERMINISTIC)
+               for k in range(len(range(starts[0], duration_us, cycle_us)))
+               for d, i in order if (t := d + k * cycle_us) < duration_us]
+    wins = {i: len(range(d, duration_us, cycle_us)) for d, i in order}
+    return records, wins
+
+
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
     config.validate()
@@ -214,6 +257,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     duration_us = round(config.duration_s * 1_000_000)
     warmup_us = round(config.warmup_s * 1_000_000)
     p_err = config.cca_error_prob
+    cycle_us = cycle_timer(n, rate, table)
 
     rng = RandomSource(config.seed)
     states = [initial_station(i, config.protocol, rng) for i in range(n)]
@@ -443,11 +487,22 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         for i in moved:
             place(i)
 
+        # a converged round robin repeats exactly; emit the rest in one go
+        if len(det) == n and not (p_err or carry or loose or reduced):
+            tail = _periodic_tail(det, cycle_us, data_us,
+                                  data_us + sifs_ack_us, duration_us)
+            if tail is not None:
+                records.extend(tail[0])
+                for i, wins in tail[1].items():
+                    states[i] = replace(states[i],
+                                        successes=states[i].successes + wins)
+                break
+
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=rate,
                      payload_bytes=config.payload_bytes,
                      duration_us=duration_us, warmup_us=warmup_us,
                      seed=config.seed,
-                     cycle_us=cycle_timer(n, rate, table),
+                     cycle_us=cycle_us,
                      records=records,
                      successes=[s.successes for s in states],
                      failures=[s.failures for s in states])

@@ -106,23 +106,26 @@ def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> Stat
                         backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
 
 
-def _reverted(state: StationState, rng: RandomSource) -> StationState:
+def _reverted(state: StationState, rng: RandomSource, **changes) -> StationState:
     # back to plain CSMA/CA: stage 0, fresh draw, timers cleared
     return replace(state, mode=Mode.LEGACY, ret=0, consec_failures=0, busy_probes=0,
-                   deadline=None, backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
+                   deadline=None, backoff=BackoffState(k=0, b=draw_backoff(0, rng)),
+                   **changes)
 
 
 def on_success(state: StationState, tx_start_us: int, n: int, rate: int,
                rng: RandomSource, table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK received for the transmission that started at tx_start_us."""
-    state = replace(state, successes=state.successes + 1, ret=0)
+    successes = state.successes + 1
     if state.kind is ProtocolKind.CSMA_CA:
-        return replace(state, backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
+        return replace(state, successes=successes, ret=0,
+                       backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
     if state.kind is ProtocolKind.CSMA_ECA:
-        return replace(state, backoff=BackoffState(k=0, b=ECA_BACKOFF))
+        return replace(state, successes=successes, ret=0,
+                       backoff=BackoffState(k=0, b=ECA_BACKOFF))
     # CF-MAC: leave the slotted contention, next attempt one cycle from this one
-    return replace(state, mode=Mode.DETERMINISTIC, consec_failures=0, busy_probes=0,
-                   backoff=BackoffState(k=0, b=0),
+    return replace(state, successes=successes, ret=0, mode=Mode.DETERMINISTIC,
+                   consec_failures=0, busy_probes=0, backoff=BackoffState(k=0, b=0),
                    deadline=tx_start_us + cycle_timer(n, rate, table))
 
 
@@ -130,23 +133,24 @@ def on_failure(state: StationState, rng: RandomSource, tx_start_us: int | None =
                n: int | None = None, rate: int | None = None,
                table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK timeout elapsed for the station's last transmission."""
-    state = replace(state, failures=state.failures + 1)
+    failures = state.failures + 1
     if state.mode is Mode.LEGACY:
         ret = state.ret + 1
         if ret >= state.r_max:
             # retry budget exhausted: drop the packet, start fresh on the next one
-            return replace(state, ret=0,
+            return replace(state, failures=failures, ret=0,
                            backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
         k = min(state.backoff.k + 1, state.backoff.m)
-        return replace(state, ret=ret, backoff=BackoffState(k=k, b=draw_backoff(k, rng)))
+        return replace(state, failures=failures, ret=ret,
+                       backoff=BackoffState(k=k, b=draw_backoff(k, rng)))
     # Deterministic mode tolerates one collision before giving up the slot
     consec = state.consec_failures + 1
     if consec >= STICKINESS_LIMIT:
-        return _reverted(state, rng)
+        return _reverted(state, rng, failures=failures)
     if tx_start_us is None or n is None or rate is None:
         raise ValueError("deterministic failure needs tx_start_us, n and rate "
                          "to schedule the next attempt")
-    return replace(state, consec_failures=consec,
+    return replace(state, failures=failures, consec_failures=consec,
                    deadline=tx_start_us + cycle_timer(n, rate, table))
 
 

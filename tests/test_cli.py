@@ -5,9 +5,12 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wlansim.bianchi import DcfModelParams, solve_fixed_point
 from wlansim.cli import (
+    _EXPERIMENT_KEYS,
+    _OUTPUT_KEYS,
     SUMMARY_COLUMNS,
     ExperimentPlan,
     main,
@@ -87,6 +90,76 @@ def test_malformed_ini_rejected(tmp_path):
     path = write(tmp_path / "c.ini", "stations = 3\n")
     with pytest.raises(ConfigError):
         parse_config(path)
+
+
+def test_fractional_schedule_row_rejected(tmp_path, capsys):
+    path = write(tmp_path / "c.ini", """\
+        [schedule]
+        48 = 400.5, 50
+    """)
+    assert main(["run", "--config", str(path), "--rate", "48",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: schedule.48:")
+    assert err.count("\n") == 1
+
+
+def test_json_section_that_is_a_list_rejected(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": [1, 2]}))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config: section experiment")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("text", [
+    json.dumps({"experiment": {"stations": 3}})[:-3],  # truncated
+    "[" * 100_000,  # nested past the decoder's recursion limit
+], ids=["truncated", "too-deep"])
+def test_malformed_json_rejected(tmp_path, capsys, text):
+    path = tmp_path / "c.json"
+    path.write_text(text)
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+
+
+_PLAN_KEYS = sorted(_EXPERIMENT_KEYS | _OUTPUT_KEYS) + ["48", "bogus"]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+    max_leaves=6)
+_SECTIONS = st.sampled_from(["experiment", "output", "schedule", "bogus"])
+_JSON_PLANS = st.dictionaries(
+    _SECTIONS,
+    st.dictionaries(st.sampled_from(_PLAN_KEYS), _JSON_VALUES, max_size=4)
+    | _JSON_VALUES,
+    max_size=3).map(json.dumps)
+_INI_PLANS = st.lists(
+    st.tuples(_SECTIONS, st.lists(st.tuples(st.sampled_from(_PLAN_KEYS),
+                                            st.text(max_size=12)),
+                                  max_size=4)),
+    max_size=3).map(lambda secs: "".join(
+        f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in opts)
+        for name, opts in secs))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(text=st.text() | _JSON_PLANS | _INI_PLANS,
+       suffix=st.sampled_from([".ini", ".json"]))
+def test_any_plan_text_parses_or_raises_config_error(tmp_path, text, suffix):
+    path = tmp_path / f"plan{suffix}"
+    path.write_text(text, encoding="utf-8")
+    try:
+        plan = parse_config(path)
+    except ConfigError:
+        return
+    assert isinstance(plan, ExperimentPlan)
 
 
 def test_json_plan_equals_ini_plan(tmp_path):
@@ -248,6 +321,17 @@ def test_main_reports_config_errors(tmp_path, capsys):
     rc = main(["run", "--rate", "7", "--out", str(tmp_path / "o")])
     assert rc == 1
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--duration", "--warmup"])
+@pytest.mark.parametrize("value", ["inf", "nan", "1e303"])
+def test_main_rejects_non_finite_times(tmp_path, capsys, flag, value):
+    rc = main(["run", flag, value, "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
 
 
 def test_main_rejects_overwrite(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Engine tests: overlap resolution, determinism, timing, and config checks."""
 import pytest
 
+from wlansim import engine
 from wlansim.engine import (
     ActiveTransmission,
     ConfigError,
@@ -9,6 +10,7 @@ from wlansim.engine import (
     resolve_overlap,
     run_experiment,
 )
+from wlansim.metrics import steady_state_start
 from wlansim.phy import FrameSpec, UnsupportedRateError, data_airtime, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable
@@ -163,7 +165,6 @@ def test_deterministic_cadence_is_exact():
         assert gaps == {trace.cycle_us}
     # collisions end at convergence; the last legacy-mode success may come
     # later (a station's first success happens in legacy mode)
-    from wlansim.metrics import steady_state_start
     settled_at = steady_state_start(trace)
     assert settled_at is not None and settled_at >= report.convergence_us
     settled = [r for r in trace.records if r.start >= settled_at]
@@ -220,6 +221,77 @@ def test_schedule_floor_enforced():
 def test_run_experiment_validates_first():
     with pytest.raises(ConfigError):
         run_experiment(config(n_stations=0))
+
+
+# -- closed-form periodic tail -------------------------------------------------
+
+def spy_on_tail(monkeypatch, fire=True):
+    """Count the calls of the engine's periodic-tail helper that emitted a
+    tail; with fire=False the helper is patched out and the loop runs to
+    the end of the run."""
+    fired = []
+    real = engine._periodic_tail
+
+    def helper(*args):
+        tail = real(*args) if fire else None
+        fired.append(tail is not None)
+        return tail
+
+    monkeypatch.setattr(engine, "_periodic_tail", helper)
+    return fired
+
+
+def test_periodic_tail_closed_form():
+    # two stations 500 us apart on a 1000 us cycle with 400 us exchanges;
+    # a start at the end of the run is past it
+    records, wins = engine._periodic_tail([(600, 1), (100, 0)], 1000, 300,
+                                          400, 2600)
+    assert [(r.station, r.start, r.end) for r in records] == [
+        (0, 100, 400), (1, 600, 900), (0, 1100, 1400), (1, 1600, 1900),
+        (0, 2100, 2400)]
+    assert {(r.outcome, r.mode) for r in records} == {
+        (Outcome.SUCCESS, Mode.DETERMINISTIC)}
+    assert wins == {0: 3, 1: 2}
+    # gaps of exactly one exchange, the wrap included, still qualify
+    assert engine._periodic_tail([(100, 0), (500, 1)], 800, 300, 400,
+                                 2600) is not None
+    # a gap shorter than an exchange, inside the cycle or across its wrap,
+    # is not periodic
+    assert engine._periodic_tail([(100, 0), (499, 1)], 1000, 300, 400,
+                                 2600) is None
+    assert engine._periodic_tail([(100, 0), (800, 1)], 1000, 300, 400,
+                                 2600) is None
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 50])
+@pytest.mark.parametrize("rate", [6, 11, 12, 24, 48])
+def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
+    for seed in (1, 2, 3):
+        cfg = config(n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
+                     duration_s=2.0, warmup_s=0.1, seed=seed)
+        with monkeypatch.context() as m:
+            spy_on_tail(m, fire=False)
+            oracle, _ = run_experiment(cfg)
+        with monkeypatch.context() as m:
+            fired = spy_on_tail(m)
+            fast, _ = run_experiment(cfg)
+        assert fast.records == oracle.records
+        assert fast.successes == oracle.successes
+        assert fast.failures == oracle.failures
+        settled_at = steady_state_start(oracle)
+        if settled_at is not None \
+                and settled_at <= oracle.duration_us - 2 * oracle.cycle_us:
+            assert any(fired), f"rate {rate} n {n} seed {seed}"
+
+
+@pytest.mark.parametrize("rate,n", [(6, 1), (24, 2), (48, 12)])
+def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
+    fired = spy_on_tail(monkeypatch)
+    trace, _ = run_experiment(config(n_stations=n, protocol=ProtocolKind.CF_MAC,
+                                     rate=rate, cca_error_prob=0.05,
+                                     duration_s=1.0, warmup_s=0.1, seed=1))
+    assert trace.records
+    assert not any(fired)
 
 
 # -- CCA noise ----------------------------------------------------------------
