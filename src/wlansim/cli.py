@@ -216,32 +216,36 @@ def parse_config(path: str | Path) -> ExperimentPlan:
     return plan
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def _report_rows(report: MetricsReport) -> list[dict]:
+    """The per-station rows and the aggregate row of a report, keyed by
+    column name. A missing key, like a None value, is a blank cell; csv
+    writes floats with repr, so every digit survives."""
+    rows = []
+    for i, thr in enumerate(report.per_station_throughput):
+        row = {"station": i, "throughput_mbps": thr,
+               "loss_fraction": report.per_station_loss[i]}
+        stats = report.interarrival.get(i)
+        if stats is not None:
+            row.update(iat_mean_us=stats.mean, iat_std_us=stats.std,
+                       iat_min_us=stats.min, iat_max_us=stats.max)
+        rows.append(row)
+    rows.append({"station": "aggregate",
+                 "throughput_mbps": report.aggregate_throughput,
+                 "jfi": report.jfi, "min_max_ratio": report.min_max_ratio,
+                 "loss_fraction": report.aggregate_loss,
+                 "convergence_us": report.convergence_us})
+    return rows
+
+
+def _row_writer(fh, columns: tuple[str, ...]) -> csv.DictWriter:
+    writer = csv.DictWriter(fh, columns, restval="", extrasaction="ignore")
+    writer.writeheader()
+    return writer
 
 
 def _write_metrics_csv(path: str, report: MetricsReport) -> None:
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(METRICS_COLUMNS)
-        for i, thr in enumerate(report.per_station_throughput):
-            stats = report.interarrival.get(i)
-            writer.writerow([
-                i, _fmt(thr), "", "",
-                _fmt(stats.mean if stats else None),
-                _fmt(stats.std if stats else None),
-                _fmt(stats.min if stats else None),
-                _fmt(stats.max if stats else None),
-                _fmt(report.per_station_loss[i]), "",
-            ])
-        writer.writerow(["aggregate", _fmt(report.aggregate_throughput),
-                         _fmt(report.jfi), _fmt(report.min_max_ratio),
-                         "", "", "", "", _fmt(report.aggregate_loss),
-                         _fmt(report.convergence_us)])
+        _row_writer(fh, METRICS_COLUMNS).writerows(_report_rows(report))
 
 
 def _write_metrics(path: str, fmt: str, report: MetricsReport) -> None:
@@ -314,8 +318,7 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
 
     model_p: dict[int, float] = {}
     with open(summary_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SUMMARY_COLUMNS)
+        writer = _row_writer(fh, SUMMARY_COLUMNS)
         for key in plan.run_keys():
             report, error = results[key]
             if error is not None:
@@ -326,22 +329,11 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
             ref = cfmac_ref.get((rate, n, seed))
             norm = normalized_interarrival(report.interarrival, ref) \
                 if ref else {}
-            for i, thr in enumerate(report.per_station_throughput):
-                stats = report.interarrival.get(i)
-                writer.writerow([
-                    proto, rate, n, seed, i, _fmt(thr), "", "",
-                    _fmt(stats.mean if stats else None),
-                    _fmt(stats.std if stats else None),
-                    _fmt(report.per_station_loss[i]), "",
-                    _fmt(model_p[n]), _fmt(norm.get(i)),
-                ])
-            writer.writerow([
-                proto, rate, n, seed, "aggregate",
-                _fmt(report.aggregate_throughput), _fmt(report.jfi),
-                _fmt(report.min_max_ratio), "", "",
-                _fmt(report.aggregate_loss), _fmt(report.convergence_us),
-                _fmt(model_p[n]), "",
-            ])
+            for row in _report_rows(report):
+                row.update(protocol=proto, rate_mbps=rate, n=n, seed=seed,
+                           bianchi_p=model_p[n],
+                           iat_over_cfmac=norm.get(row["station"]))
+                writer.writerow(row)
     return 2 if failed else 0
 
 

@@ -71,18 +71,25 @@ import heapq
 import math
 from dataclasses import dataclass, replace
 
+import numpy as np
+
 from .metrics import MetricsReport, compute_report
-from .phy import (MAC_OVERHEAD_BYTES, FrameSpec, ack_airtime, data_airtime,
-                  phy_profile)
+from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, FrameSpec, ack_airtime,
+                  data_airtime, phy_profile)
 from .protocols import (Mode, ProbeAction, ProtocolKind, RandomSource,
                         cfmac_probe, initial_station, on_failure, on_success)
 from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
-from .trace import Outcome, TraceLog, TransmissionRecord
+from .trace import MODE_CODE, OUTCOME_CODE, OUTCOMES, Outcome, TraceLog
 
 
 class ConfigError(ValueError):
     """Raised for an invalid simulation configuration."""
 
+
+_SUCCESS = OUTCOME_CODE[Outcome.SUCCESS]
+_COLLISION = OUTCOME_CODE[Outcome.COLLISION]
+_CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
+_DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 
 # scheduling kinds inside the loop
 _LEGACY = 0     # slot cadence driven by the backoff counter
@@ -119,8 +126,9 @@ class SimConfig:
                               "the run")
         if not 0.0 <= self.cca_error_prob <= 1.0:
             raise ConfigError("cca_error_prob must lie in [0, 1]")
-        if self.payload_bytes <= 0:
-            raise ConfigError("payload_bytes must be positive")
+        if not 0 < self.payload_bytes <= MAX_MSDU_BYTES:
+            raise ConfigError(f"payload_bytes must lie in [1, "
+                              f"{MAX_MSDU_BYTES}]")
         profile = phy_profile(self.rate)
         # a shorter cycle could re-schedule a deadline inside the busy
         # period that produced it, which the loop does not support
@@ -177,15 +185,16 @@ def _overlap_groups(txs: list[ActiveTransmission]) -> list[list[ActiveTransmissi
 
 
 def _classify(groups: list[list[ActiveTransmission]],
-              flip_joins=frozenset()) -> dict[int, Outcome]:
-    out: dict[int, Outcome] = {}
+              flip_joins=frozenset()) -> dict[int, int]:
+    """Outcome code (an index into OUTCOMES) per station."""
+    out: dict[int, int] = {}
     for group in groups:
         if len(group) == 1:
-            out[group[0].station] = Outcome.SUCCESS
+            out[group[0].station] = _SUCCESS
             continue
         for tx in group:
-            out[tx.station] = (Outcome.CCA_ERROR if tx.station in flip_joins
-                               else Outcome.COLLISION)
+            out[tx.station] = (_CCA_ERROR if tx.station in flip_joins
+                               else _COLLISION)
     return out
 
 
@@ -195,7 +204,8 @@ def resolve_overlap(active, flip_joins=frozenset()) -> dict[int, Outcome]:
     A station in `flip_joins` started on a false-idle CCA sample; if its
     frame overlaps another it is recorded as CcaError instead of Collision.
     """
-    return _classify(_overlap_groups(list(active)), flip_joins)
+    return {i: OUTCOMES[code] for i, code
+            in _classify(_overlap_groups(list(active)), flip_joins).items()}
 
 
 def _release_time(groups: list[list[ActiveTransmission]],
@@ -211,7 +221,7 @@ def _release_time(groups: list[list[ActiveTransmission]],
 
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
                    data_us: int, exchange_us: int, duration_us: int
-                   ) -> tuple[list[TransmissionRecord], dict[int, int]] | None:
+                   ) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
     Called with the (deadline, station) pair of every station once all n
@@ -226,20 +236,25 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     therefore transmits alone at d_i + k * cycle for every start before the
     end of the run, and nothing else happens.
 
-    Returns those Deterministic-mode successes in start order and the
-    number each station adds to its success tally.
+    Returns those Deterministic-mode successes as the trace columns
+    (station, start, end, outcome, mode), in start order, and the number
+    each station adds to its success tally, indexed by station.
     """
     order = sorted(deadlines)
-    starts = [d for d, _ in order]
-    starts.append(starts[0] + cycle_us)
-    if any(b - a < exchange_us for a, b in zip(starts, starts[1:])):
+    first = np.array([d for d, _ in order], dtype=np.int64)
+    if (np.diff(first, append=first[0] + cycle_us) < exchange_us).any():
         return None
-    records = [TransmissionRecord(i, t, t + data_us, Outcome.SUCCESS,
-                                  Mode.DETERMINISTIC)
-               for k in range(len(range(starts[0], duration_us, cycle_us)))
-               for d, i in order if (t := d + k * cycle_us) < duration_us]
-    wins = {i: len(range(d, duration_us, cycle_us)) for d, i in order}
-    return records, wins
+    cycles = len(range(order[0][0], duration_us, cycle_us))
+    start = (first + cycle_us * np.arange(cycles)[:, None]).ravel()
+    station = np.tile(np.array([i for _, i in order], dtype=np.int32), cycles)
+    # the deadlines lie within one cycle, so only the last one can run over
+    inside = start < duration_us
+    start, station = start[inside], station[inside]
+    rows = len(start)
+    columns = (station, start, start + data_us,
+               np.full(rows, _SUCCESS, dtype=np.int8),
+               np.full(rows, _DETERMINISTIC, dtype=np.int8))
+    return columns, np.bincount(station, minlength=len(order))
 
 
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
@@ -278,7 +293,14 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     loose: dict[int, int] = {}  # off-grid _LEGACY/_REDUCED station -> anchor
     carry: dict[int, int] = {}  # _CARRY station -> fire instant
     reduced: set[int] = set()   # _REDUCED stations still counting down
-    records: list[TransmissionRecord] = []
+    # the trace columns, one plain int per attempt: station, start, end,
+    # outcome code, mode code
+    col_station: list[int] = []
+    col_start: list[int] = []
+    col_end: list[int] = []
+    col_outcome: list[int] = []
+    col_mode: list[int] = []
+    columns = (col_station, col_start, col_end, col_outcome, col_mode)
     clock = 0
 
     def place(i: int) -> None:
@@ -416,7 +438,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         reduced.clear()
 
         active = [ActiveTransmission(i, t0, t0 + data_us) for i in txers]
-        mode_at = {i: states[i].mode for i in txers}
+        mode_at = {i: MODE_CODE[states[i].mode] for i in txers}
         flip_joins: set[int] = set()
         groups = _overlap_groups(active)
         free_at = _release_time(groups, sifs_ack_us, difs)
@@ -434,7 +456,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 if cca_sample(False, rng, p_err):
                     # phantom idle: transmit into the ongoing traffic
                     active.append(ActiveTransmission(i, tme, tme + data_us))
-                    mode_at[i] = states[i].mode
+                    mode_at[i] = MODE_CODE[states[i].mode]
                     flip_joins.add(i)
                     groups = _overlap_groups(active)
                     grown = _release_time(groups, sifs_ack_us, difs)
@@ -465,13 +487,16 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         # groups list the transmissions in (start, station) order
         for group in groups:
             for tx in group:
-                records.append(TransmissionRecord(tx.station, tx.start, tx.end,
-                                                  outcome[tx.station],
-                                                  mode_at[tx.station]))
+                i = tx.station
+                col_station.append(i)
+                col_start.append(tx.start)
+                col_end.append(tx.end)
+                col_outcome.append(outcome[i])
+                col_mode.append(mode_at[i])
 
         for tx in sorted(active, key=lambda t: t.station):
             i = tx.station
-            if outcome[i] is Outcome.SUCCESS:
+            if outcome[i] == _SUCCESS:
                 states[i] = on_success(states[i], tx.start, n, rate, rng, table)
             else:
                 states[i] = on_failure(states[i], rng, tx_start_us=tx.start,
@@ -492,18 +517,23 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             tail = _periodic_tail(det, cycle_us, data_us,
                                   data_us + sifs_ack_us, duration_us)
             if tail is not None:
-                records.extend(tail[0])
-                for i, wins in tail[1].items():
+                tail_columns, wins = tail
+                columns = tuple(
+                    np.concatenate((np.asarray(c, dtype=t.dtype), t))
+                    for c, t in zip(columns, tail_columns))
+                for i, w in enumerate(wins.tolist()):
                     states[i] = replace(states[i],
-                                        successes=states[i].successes + wins)
+                                        successes=states[i].successes + w)
                 break
 
+    station, start, end, outcome, mode = columns
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=rate,
                      payload_bytes=config.payload_bytes,
                      duration_us=duration_us, warmup_us=warmup_us,
                      seed=config.seed,
                      cycle_us=cycle_us,
-                     records=records,
+                     station=station, start=start, end=end, outcome=outcome,
+                     mode=mode,
                      successes=[s.successes for s in states],
                      failures=[s.failures for s in states])
     return trace, compute_report(trace)

@@ -13,7 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .protocols import Mode, ProtocolKind
-from .trace import Outcome, TraceLog
+from .trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
+
+_SUCCESS = OUTCOME_CODE[Outcome.SUCCESS]
+_DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 
 
 @dataclass(frozen=True)
@@ -87,36 +90,62 @@ def loss_fraction(failures: int, successes: int) -> float:
     return failures / attempts
 
 
+def _in_window(trace: TraceLog, lo: int, hi: int
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Station, start and outcome columns of the attempts started in [lo, hi)."""
+    inside = (trace.start >= lo) & (trace.start < hi)
+    return trace.station[inside], trace.start[inside], trace.outcome[inside]
+
+
+def _tallies(n: int, station: np.ndarray,
+             outcome: np.ndarray) -> tuple[list[int], list[int]]:
+    """Successes and attempts per station."""
+    wins = np.bincount(station[outcome == _SUCCESS], minlength=n)
+    return wins.tolist(), np.bincount(station, minlength=n).tolist()
+
+
+def _throughput(wins: list[int], payload: int, lo: int, hi: int) -> list[float]:
+    # bits per microsecond is numerically Mb/s
+    return [c * payload * 8 / (hi - lo) for c in wins]
+
+
+def _losses(wins: list[int], attempts: list[int]) -> list[float | None]:
+    return [None if a == 0 else loss_fraction(a - w, w)
+            for w, a in zip(wins, attempts)]
+
+
+def _gap_stats(n: int, station: np.ndarray,
+               start: np.ndarray) -> dict[int, IatStats | None]:
+    # a stable sort by station keeps each station's attempts in trace order
+    order = np.argsort(station, kind="stable")
+    bounds = np.cumsum(np.bincount(station, minlength=n))[:-1]
+    out: dict[int, IatStats | None] = {}
+    for i, starts in enumerate(np.split(start[order], bounds)):
+        if len(starts) < 2:
+            out[i] = None
+            continue
+        gaps = np.diff(starts)
+        out[i] = IatStats(mean=float(gaps.mean()), std=float(gaps.std()),
+                          min=float(gaps.min()), max=float(gaps.max()))
+    return out
+
+
 def throughput_per_station(trace: TraceLog, window: tuple[int, int] | None = None,
                            payload_bytes: int | None = None) -> list[float]:
     """Delivered payload rate per station over the window, in Mb/s."""
     lo, hi = _default_window(trace, window)
     payload = trace.payload_bytes if payload_bytes is None else payload_bytes
-    counts = [0] * trace.n_stations
-    for r in trace.records:
-        if r.outcome is Outcome.SUCCESS and lo <= r.start < hi:
-            counts[r.station] += 1
-    # bits per microsecond is numerically Mb/s
-    return [c * payload * 8 / (hi - lo) for c in counts]
+    station, _, outcome = _in_window(trace, lo, hi)
+    return _throughput(_tallies(trace.n_stations, station, outcome)[0],
+                       payload, lo, hi)
 
 
 def interarrival_stats(trace: TraceLog,
                        window: tuple[int, int] | None = None) -> dict[int, IatStats | None]:
     """Start-to-start gap statistics per station; None below two attempts."""
     lo, hi = _default_window(trace, window)
-    starts: dict[int, list[int]] = {i: [] for i in range(trace.n_stations)}
-    for r in trace.records:
-        if lo <= r.start < hi:
-            starts[r.station].append(r.start)
-    out: dict[int, IatStats | None] = {}
-    for i, s in starts.items():
-        if len(s) < 2:
-            out[i] = None
-            continue
-        gaps = np.diff(np.asarray(s, dtype=np.int64))
-        out[i] = IatStats(mean=float(gaps.mean()), std=float(gaps.std()),
-                          min=float(gaps.min()), max=float(gaps.max()))
-    return out
+    station, start, _ = _in_window(trace, lo, hi)
+    return _gap_stats(trace.n_stations, station, start)
 
 
 def normalized_interarrival(stats: dict[int, IatStats | None],
@@ -131,16 +160,8 @@ def normalized_interarrival(stats: dict[int, IatStats | None],
 def per_station_loss(trace: TraceLog,
                      window: tuple[int, int] | None = None) -> list[float | None]:
     lo, hi = _default_window(trace, window)
-    f = [0] * trace.n_stations
-    s = [0] * trace.n_stations
-    for r in trace.records:
-        if lo <= r.start < hi:
-            if r.outcome is Outcome.SUCCESS:
-                s[r.station] += 1
-            else:
-                f[r.station] += 1
-    return [None if f[i] + s[i] == 0 else loss_fraction(f[i], s[i])
-            for i in range(trace.n_stations)]
+    station, _, outcome = _in_window(trace, lo, hi)
+    return _losses(*_tallies(trace.n_stations, station, outcome))
 
 
 def convergence_time(trace: TraceLog) -> int | None:
@@ -151,17 +172,16 @@ def convergence_time(trace: TraceLog) -> int | None:
     once a deterministic schedule exists (some Deterministic-mode record) and
     at least one success follows the last collision.
     """
-    collision_like = [r for r in trace.records if r.outcome is not Outcome.SUCCESS]
-    if not collision_like:
+    success = trace.outcome == _SUCCESS
+    if success.all():
         return 0
     if trace.protocol is ProtocolKind.CSMA_CA:
         return None
     if trace.protocol is ProtocolKind.CF_MAC:
-        if not any(r.mode is Mode.DETERMINISTIC for r in trace.records):
+        if not (trace.mode == _DETERMINISTIC).any():
             return None
-    settled_at = max(r.end for r in collision_like)
-    if not any(r.outcome is Outcome.SUCCESS and r.start >= settled_at
-               for r in trace.records):
+    settled_at = int(trace.end[~success].max())
+    if not (success & (trace.start >= settled_at)).any():
         return None
     return settled_at
 
@@ -172,39 +192,39 @@ def steady_state_start(trace: TraceLog) -> int | None:
     None when the trace never reaches that regime (no deterministic records,
     or disturbances run to the end of the trace).
     """
-    if not any(r.mode is Mode.DETERMINISTIC for r in trace.records):
+    deterministic = trace.mode == _DETERMINISTIC
+    if not deterministic.any():
         return None
-    disturbances = [r.end for r in trace.records
-                    if r.outcome is not Outcome.SUCCESS or r.mode is Mode.LEGACY]
-    start = max(disturbances) if disturbances else 0
-    if not any(r.outcome is Outcome.SUCCESS and r.start >= start for r in trace.records):
+    success = trace.outcome == _SUCCESS
+    disturbed = ~(success & deterministic)
+    start = int(trace.end[disturbed].max()) if disturbed.any() else 0
+    if not (success & (trace.start >= start)).any():
         return None
     return start
 
 
 def compute_report(trace: TraceLog, window: tuple[int, int] | None = None) -> MetricsReport:
     lo, hi = _default_window(trace, window)
-    throughput = throughput_per_station(trace, (lo, hi))
+    station, start, outcome = _in_window(trace, lo, hi)
+    wins, attempts = _tallies(trace.n_stations, station, outcome)
+    throughput = _throughput(wins, trace.payload_bytes, lo, hi)
     try:
         fairness = jfi(throughput)
         ratio = min_max_ratio(throughput)
     except ValueError:
         fairness = None
         ratio = None
-    losses = per_station_loss(trace, (lo, hi))
-    f_total = sum(1 for r in trace.records
-                  if r.outcome is not Outcome.SUCCESS and lo <= r.start < hi)
-    s_total = sum(1 for r in trace.records
-                  if r.outcome is Outcome.SUCCESS and lo <= r.start < hi)
-    aggregate_loss = None if f_total + s_total == 0 else loss_fraction(f_total, s_total)
+    s_total, a_total = sum(wins), sum(attempts)
+    aggregate_loss = None if a_total == 0 else loss_fraction(a_total - s_total,
+                                                             s_total)
     return MetricsReport(
         window=(lo, hi),
         per_station_throughput=throughput,
         aggregate_throughput=float(sum(throughput)),
         jfi=fairness,
         min_max_ratio=ratio,
-        interarrival=interarrival_stats(trace, (lo, hi)),
-        per_station_loss=losses,
+        interarrival=_gap_stats(trace.n_stations, station, start),
+        per_station_loss=_losses(wins, attempts),
         aggregate_loss=aggregate_loss,
         convergence_us=convergence_time(trace),
     )

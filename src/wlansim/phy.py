@@ -13,6 +13,7 @@ from enum import Enum
 SUPPORTED_RATES = (6, 11, 12, 24, 48)  # [Mb/s]
 
 MAC_OVERHEAD_BYTES = 38  # MAC header + FCS on top of the UDP payload
+MAX_MSDU_BYTES = 2304    # largest payload one 802.11 data frame carries
 ACK_MPDU_BYTES = 14
 
 OFDM_PREAMBLE_US = 20       # [us] preamble + signal field

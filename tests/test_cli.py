@@ -18,8 +18,9 @@ from wlansim.cli import (
     run_plan,
 )
 from wlansim.engine import ConfigError, run_experiment
-from wlansim.protocols import ProtocolKind
+from wlansim.protocols import Mode, ProtocolKind
 from wlansim.schedule import DEFAULT_TABLE, ScheduleRow
+from wlansim.trace import Outcome, TransmissionRecord
 
 
 def write(path: Path, text: str) -> Path:
@@ -125,6 +126,33 @@ def test_malformed_json_rejected(tmp_path, capsys, text):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: config:")
+    assert err.count("\n") == 1
+
+
+def test_untraced_run_builds_no_record_objects(tmp_path, monkeypatch):
+    def refuse(self, *args, **kwargs):
+        raise RuntimeError("a TransmissionRecord was built")
+
+    monkeypatch.setattr(TransmissionRecord, "__init__", refuse)
+    with pytest.raises(RuntimeError):
+        TransmissionRecord(0, 0, 1, Outcome.SUCCESS, Mode.LEGACY)
+    for fmt, cca in (("csv", 0.0), ("json", 0.05)):
+        # a failed cell would report the RuntimeError and return 2
+        plan = ExperimentPlan(protocols=list(ProtocolKind), rates=[48],
+                              stations=[3], seeds=[1], duration_s=0.3,
+                              warmup_s=0.05, cca_error_prob=cca,
+                              out_dir=tmp_path / fmt, fmt=fmt)
+        assert run_plan(plan) == 0
+
+
+def test_payload_above_one_msdu_rejected(tmp_path, capsys):
+    # 10**320 bytes used to overflow the airtime computation
+    path = tmp_path / "c.json"
+    path.write_text('{"experiment": {"payload": 1' + "0" * 320 + "}}")
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: payload_bytes")
     assert err.count("\n") == 1
 
 

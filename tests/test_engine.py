@@ -1,4 +1,5 @@
 """Engine tests: overlap resolution, determinism, timing, and config checks."""
+import numpy as np
 import pytest
 
 from wlansim import engine
@@ -14,7 +15,7 @@ from wlansim.metrics import steady_state_start
 from wlansim.phy import FrameSpec, UnsupportedRateError, data_airtime, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable
-from wlansim.trace import Outcome, read_trace_csv
+from wlansim.trace import MODES, OUTCOMES, Outcome, TraceLog, read_trace_csv
 
 
 def config(**kw):
@@ -158,11 +159,10 @@ def test_deterministic_cadence_is_exact():
     assert report.convergence_us is not None
     assert trace.cycle_us == 3 * 788
     for i in range(3):
-        starts = [r.start for r in trace.station_records(i)
-                  if r.start >= report.convergence_us]
+        starts = trace.start[(trace.station == i)
+                             & (trace.start >= report.convergence_us)]
         assert len(starts) > 100
-        gaps = {b - a for a, b in zip(starts, starts[1:])}
-        assert gaps == {trace.cycle_us}
+        assert set(np.diff(starts).tolist()) == {trace.cycle_us}
     # collisions end at convergence; the last legacy-mode success may come
     # later (a station's first success happens in legacy mode)
     settled_at = steady_state_start(trace)
@@ -187,6 +187,38 @@ def test_trace_csv_round_trip(tmp_path):
     assert read_trace_csv(path) == trace.records
 
 
+def test_trace_survives_read_and_rebuild_byte_for_byte(tmp_path):
+    # heavy CCA noise gives every outcome and both modes
+    trace, _ = run_experiment(config(n_stations=4, protocol=ProtocolKind.CF_MAC,
+                                     cca_error_prob=0.5, duration_s=0.2,
+                                     warmup_s=0.02, seed=11))
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    trace.write_csv(first)
+    records = read_trace_csv(first)
+    assert {r.outcome for r in records} == set(Outcome)
+    assert {r.mode for r in records} == set(Mode)
+    params = {k: getattr(trace, k) for k in (
+        "protocol", "n_stations", "rate", "payload_bytes", "duration_us",
+        "warmup_us", "seed", "cycle_us")}
+    TraceLog.from_records(records, **params).write_csv(second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+def test_run_shorter_than_one_attempt_leaves_an_empty_trace(tmp_path):
+    # nobody can transmit before DIFS has passed
+    trace, report = run_experiment(config(duration_s=1e-5, warmup_s=0.0))
+    assert len(trace.start) == 0 and trace.records == []
+    assert trace.successes == trace.failures == [0, 0]
+    assert report.per_station_throughput == [0.0, 0.0]
+    assert report.interarrival == {0: None, 1: None}
+    assert report.per_station_loss == [None, None]
+    assert (report.jfi, report.aggregate_loss, report.convergence_us) == (
+        None, None, 0)
+    trace.write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b"station,start_us,end_us,outcome,mode\r\n"
+
+
 def test_report_matches_trace():
     trace, report = run_experiment(config(n_stations=4, rate=24, seed=6))
     from wlansim.metrics import compute_report
@@ -199,12 +231,13 @@ def test_config_rejections():
     cases = [dict(n_stations=0), dict(duration_s=0.0),
              dict(warmup_s=0.3, duration_s=0.3), dict(warmup_s=-0.1),
              dict(cca_error_prob=1.5), dict(cca_error_prob=-0.1),
-             dict(payload_bytes=0)]
+             dict(payload_bytes=0), dict(payload_bytes=2305)]
     for kw in cases:
         with pytest.raises(ConfigError):
             config(**kw).validate()
     with pytest.raises(UnsupportedRateError):
         config(rate=7).validate()
+    config(payload_bytes=2304).validate()  # one full 802.11 MSDU
 
 
 def test_schedule_floor_enforced():
@@ -244,14 +277,15 @@ def spy_on_tail(monkeypatch, fire=True):
 def test_periodic_tail_closed_form():
     # two stations 500 us apart on a 1000 us cycle with 400 us exchanges;
     # a start at the end of the run is past it
-    records, wins = engine._periodic_tail([(600, 1), (100, 0)], 1000, 300,
+    columns, wins = engine._periodic_tail([(600, 1), (100, 0)], 1000, 300,
                                           400, 2600)
-    assert [(r.station, r.start, r.end) for r in records] == [
+    station, start, end, outcome, mode = (c.tolist() for c in columns)
+    assert list(zip(station, start, end)) == [
         (0, 100, 400), (1, 600, 900), (0, 1100, 1400), (1, 1600, 1900),
         (0, 2100, 2400)]
-    assert {(r.outcome, r.mode) for r in records} == {
+    assert {(OUTCOMES[o], MODES[m]) for o, m in zip(outcome, mode)} == {
         (Outcome.SUCCESS, Mode.DETERMINISTIC)}
-    assert wins == {0: 3, 1: 2}
+    assert wins.tolist() == [3, 2]
     # gaps of exactly one exchange, the wrap included, still qualify
     assert engine._periodic_tail([(100, 0), (500, 1)], 800, 300, 400,
                                  2600) is not None

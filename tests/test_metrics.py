@@ -30,10 +30,10 @@ def trace_of(records, protocol=ProtocolKind.CF_MAC, n_stations=None,
              duration_us=1_000_000, warmup_us=0, payload=1470):
     if n_stations is None:
         n_stations = max((r.station for r in records), default=0) + 1
-    return TraceLog(protocol=protocol, n_stations=n_stations, rate=48,
-                    payload_bytes=payload, duration_us=duration_us,
-                    warmup_us=warmup_us, seed=1, cycle_us=6300,
-                    records=sorted(records, key=lambda r: (r.start, r.station)))
+    return TraceLog.from_records(
+        sorted(records, key=lambda r: (r.start, r.station)), protocol=protocol,
+        n_stations=n_stations, rate=48, payload_bytes=payload,
+        duration_us=duration_us, warmup_us=warmup_us, seed=1, cycle_us=6300)
 
 
 # -- throughput ---------------------------------------------------------------
@@ -245,13 +245,61 @@ def test_compute_report_round_numbers():
 
 
 def test_compute_report_empty_window_degrades_to_none():
-    t = trace_of([rec(0, 0)], duration_us=1000)
-    rep = compute_report(t, window=(500, 1000))
-    assert rep.per_station_throughput == [0.0]
-    assert rep.jfi is None
-    assert rep.min_max_ratio is None
-    assert rep.per_station_loss == [None]
-    assert rep.aggregate_loss is None
+    # the window excludes every record: it starts after them or ends first
+    t = trace_of([rec(0, 200), rec(0, 300)], duration_us=1000)
+    for window in ((500, 1000), (0, 100)):
+        rep = compute_report(t, window=window)
+        assert rep.per_station_throughput == [0.0]
+        assert rep.aggregate_throughput == 0.0
+        assert rep.jfi is None
+        assert rep.min_max_ratio is None
+        assert rep.interarrival == {0: None}
+        assert rep.per_station_loss == [None]
+        assert rep.aggregate_loss is None
+
+
+def test_zero_record_trace(tmp_path):
+    t = trace_of([], n_stations=2, duration_us=1000)
+    rep = compute_report(t)
+    assert rep.per_station_throughput == [0.0, 0.0]
+    assert (rep.jfi, rep.min_max_ratio, rep.aggregate_loss) == (None,) * 3
+    assert rep.interarrival == {0: None, 1: None}
+    assert rep.per_station_loss == [None, None]
+    assert rep.convergence_us == 0  # nothing ever collided
+    assert steady_state_start(t) is None
+    assert t.records == []
+    t.write_csv(tmp_path / "t.csv")
+    assert (tmp_path / "t.csv").read_bytes() == \
+        b"station,start_us,end_us,outcome,mode\r\n"
+
+
+def test_hand_built_trace_rejects_unknown_stations():
+    for station in (-1, 2):
+        with pytest.raises(ValueError):
+            trace_of([rec(0, 0), rec(station, 100)], n_stations=2)
+
+
+@pytest.mark.parametrize("silent", [0, 1, 3])
+def test_station_that_never_transmits(silent):
+    # the others keep a 100 us cadence with one collision each; the silent
+    # station's empty group must not shift its neighbours' statistics
+    records = [rec(i, 10 * i + 100 * k,
+                   outcome=Outcome.COLLISION if k == 2 else Outcome.SUCCESS)
+               for i in range(4) if i != silent for k in range(5)]
+    rep = compute_report(trace_of(records, n_stations=4, duration_us=1000))
+    for i in range(4):
+        if i == silent:
+            assert rep.per_station_throughput[i] == 0.0
+            assert rep.interarrival[i] is None
+            assert rep.per_station_loss[i] is None
+        else:
+            assert rep.per_station_throughput[i] == 4 * 1470 * 8 / 1000
+            assert rep.interarrival[i] == IatStats(mean=100.0, std=0.0,
+                                                   min=100.0, max=100.0)
+            assert rep.per_station_loss[i] == 0.2
+    assert rep.aggregate_loss == 3 / 15
+    assert rep.jfi == pytest.approx(0.75)
+    assert rep.min_max_ratio == 0.0
 
 
 def test_report_as_dict_is_json_shaped():
