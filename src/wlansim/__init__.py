@@ -4,43 +4,26 @@ Three access methods over one saturated channel: classic CSMA/CA, CSMA/ECA
 (deterministic post-success backoff), and a collision-free MAC that replaces
 contention with an absolute microsecond cycle timer after its first success.
 """
-from .bianchi import (DcfModelParams, FixedPointError, expected_loss_fraction,
-                      solve_fixed_point, transmission_probability)
-from .engine import (ActiveTransmission, ConfigError, SimConfig, cca_sample,
-                     frame_exchange_us, resolve_overlap, run_experiment)
-from .metrics import (IatStats, MetricsReport, compute_report,
-                      convergence_time, interarrival_stats, jfi,
-                      loss_fraction, min_max_ratio, normalized_interarrival,
-                      per_station_loss, steady_state_start,
-                      throughput_per_station)
-from .phy import (FrameSpec, PhyProfile, Preamble, SUPPORTED_RATES,
-                  UnsupportedRateError, ack_airtime, ack_timeout,
-                  data_airtime, phy_profile)
-from .protocols import (BackoffState, Mode, ProbeAction, ProbeDecision,
-                        ProtocolKind, RandomSource, StationState,
-                        cfmac_probe, draw_backoff, initial_station,
-                        legacy_tick, on_failure, on_success)
-from .schedule import (DEFAULT_TABLE, NoContendersError, ScheduleRow,
-                       ScheduleTable, cycle_timer, per_station_cycle)
-from .trace import (Outcome, TraceLog, TransmissionRecord, read_trace_csv)
+from .bianchi import DcfModelParams, FixedPointError, solve_fixed_point
+from .engine import ConfigError, SimConfig, run_experiment
+from .metrics import (MetricsReport, compute_report, convergence_time,
+                      interarrival_stats, jfi, loss_fraction, min_max_ratio,
+                      normalized_interarrival, per_station_loss,
+                      steady_state_start, throughput_per_station)
+from .phy import UnsupportedRateError
+from .protocols import Mode, ProtocolKind
+from .schedule import DEFAULT_TABLE, ScheduleRow, ScheduleTable
+from .trace import Outcome, TraceLog, TransmissionRecord, read_trace_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ActiveTransmission", "BackoffState", "ConfigError", "DEFAULT_TABLE",
-    "DcfModelParams", "FixedPointError", "FrameSpec", "IatStats",
-    "MetricsReport", "Mode", "NoContendersError", "Outcome", "PhyProfile",
-    "Preamble", "ProbeAction", "ProbeDecision", "ProtocolKind",
-    "RandomSource", "SUPPORTED_RATES", "ScheduleRow", "ScheduleTable",
-    "SimConfig", "StationState", "TraceLog", "TransmissionRecord",
-    "UnsupportedRateError", "ack_airtime", "ack_timeout", "cca_sample",
-    "cfmac_probe", "compute_report", "convergence_time", "cycle_timer",
-    "data_airtime", "draw_backoff", "expected_loss_fraction",
-    "frame_exchange_us", "initial_station", "interarrival_stats", "jfi",
-    "legacy_tick", "loss_fraction", "min_max_ratio",
-    "normalized_interarrival", "on_failure", "on_success",
-    "per_station_cycle", "per_station_loss", "phy_profile",
-    "read_trace_csv", "resolve_overlap", "run_experiment",
-    "solve_fixed_point", "steady_state_start", "throughput_per_station",
-    "transmission_probability",
+    "ConfigError", "DEFAULT_TABLE", "DcfModelParams", "FixedPointError",
+    "MetricsReport", "Mode", "Outcome", "ProtocolKind", "ScheduleRow",
+    "ScheduleTable", "SimConfig", "TraceLog", "TransmissionRecord",
+    "UnsupportedRateError", "compute_report", "convergence_time",
+    "interarrival_stats", "jfi", "loss_fraction", "min_max_ratio",
+    "normalized_interarrival", "per_station_loss", "read_trace_csv",
+    "run_experiment", "solve_fixed_point", "steady_state_start",
+    "throughput_per_station",
 ]

@@ -1,8 +1,9 @@
 """Event-driven channel contention engine.
 
 Time is integer microseconds. The channel alternates between idle spans and
-busy periods, and during an idle span every station has a computable next
-attempt instant:
+busy periods. The engine keeps one mutable StationState record per station
+and updates it in place with the transition rules of `protocols`; during an
+idle span the record's phase gives the station's next attempt instant:
 
   legacy            release + DIFS + b slots (b counted from the idle onset
                     the station observed)
@@ -69,15 +70,16 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .metrics import MetricsReport, compute_report
 from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, FrameSpec, ack_airtime,
                   data_airtime, phy_profile)
-from .protocols import (Mode, ProbeAction, ProtocolKind, RandomSource,
-                        cfmac_probe, initial_station, on_failure, on_success)
+from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProbeAction,
+                        ProtocolKind, RandomSource, _count_down, _fail,
+                        _probe, _succeed, initial_station)
 from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
 from .trace import MODE_CODE, OUTCOME_CODE, OUTCOMES, Outcome, TraceLog
 
@@ -90,12 +92,6 @@ _SUCCESS = OUTCOME_CODE[Outcome.SUCCESS]
 _COLLISION = OUTCOME_CODE[Outcome.COLLISION]
 _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
-
-# scheduling kinds inside the loop
-_LEGACY = 0     # slot cadence driven by the backoff counter
-_SCHEDULED = 1  # deterministic, waiting for an absolute deadline
-_CARRY = 2      # deterministic, fires at the channel-release instant
-_REDUCED = 3    # deterministic, reduced backoff armed on the slot cadence
 
 
 @dataclass
@@ -245,12 +241,13 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     if (np.diff(first, append=first[0] + cycle_us) < exchange_us).any():
         return None
     cycles = len(range(order[0][0], duration_us, cycle_us))
+    # the deadlines lie within one cycle of the first, so the raveled grid
+    # ascends and the starts before the end of the run are a prefix of it
     start = (first + cycle_us * np.arange(cycles)[:, None]).ravel()
-    station = np.tile(np.array([i for _, i in order], dtype=np.int32), cycles)
-    # the deadlines lie within one cycle, so only the last one can run over
-    inside = start < duration_us
-    start, station = start[inside], station[inside]
-    rows = len(start)
+    rows = int(np.searchsorted(start, duration_us))
+    start = start[:rows]
+    station = np.tile(np.array([i for _, i in order], dtype=np.int32),
+                      cycles)[:rows]
     columns = (station, start, start + data_us,
                np.full(rows, _SUCCESS, dtype=np.int8),
                np.full(rows, _DETERMINISTIC, dtype=np.int8))
@@ -276,8 +273,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
 
     rng = RandomSource(config.seed)
     states = [initial_station(i, config.protocol, rng) for i in range(n)]
-    kind = [_LEGACY] * n
-    rb_slots = [0] * n  # reduced-backoff draw, valid while kind is _REDUCED
     # virtual idle-slot clock: a station on the shared grid with key K fires
     # at release + DIFS + (K - banked) slots
     release = 0  # [us] instant the channel last went idle
@@ -287,12 +282,12 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     # and is dropped when it reaches the top
     grid = [(k, i) for i, k in enumerate(gkey)]
     heapq.heapify(grid)
-    # (deadline, station) of every _SCHEDULED station; an entry leaves the
-    # heap before its station's kind or deadline can change, so none go stale
+    # (deadline, station) of every DEADLINE station; an entry leaves the
+    # heap before its station's phase or deadline can change, so none go stale
     det: list[tuple[int, int]] = []
-    loose: dict[int, int] = {}  # off-grid _LEGACY/_REDUCED station -> anchor
-    carry: dict[int, int] = {}  # _CARRY station -> fire instant
-    reduced: set[int] = set()   # _REDUCED stations still counting down
+    loose: dict[int, int] = {}  # off-grid BACKOFF/REDUCED station -> anchor
+    carry: dict[int, int] = {}  # HOLD station past a busy span -> fire instant
+    reduced: set[int] = set()   # REDUCED stations still counting down
     # the trace columns, one plain int per attempt: station, start, end,
     # outcome code, mode code
     col_station: list[int] = []
@@ -304,22 +299,24 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     clock = 0
 
     def place(i: int) -> None:
-        # file a station whose kind or counter changed in a busy period
-        k = kind[i]
-        if k == _SCHEDULED:
-            heapq.heappush(det, (states[i].deadline, i))
-        elif k == _CARRY:
+        # file a station whose phase or counter changed in a busy period; a
+        # hold that outlasted it fires at the release instant
+        st = states[i]
+        if st.phase == DEADLINE:
+            heapq.heappush(det, (st.deadline, i))
+        elif st.phase == HOLD:
             carry[i] = release
         else:
-            key = banked + (rb_slots[i] if k == _REDUCED
-                            else states[i].backoff.b)
+            key = banked + (st.rb_slots if st.phase == REDUCED
+                            else st.backoff.b)
             if gkey[i] != key:
                 gkey[i] = key
                 heapq.heappush(grid, (key, i))
 
     def off_grid_at(i: int) -> int:
         # fire instant of a station in `loose`, counted from its own anchor
-        b = rb_slots[i] if kind[i] == _REDUCED else states[i].backoff.b
+        st = states[i]
+        b = st.rb_slots if st.phase == REDUCED else st.backoff.b
         return loose[i] + difs + b * slot
 
     def cover(hi: int, events: list[tuple[int, int, int]]) -> None:
@@ -374,17 +371,12 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         # reduced-backoff stations take the busy finding as final and revert
         txers: list[int] = []
         flip_holders: list[int] = []
-        reverted: list[int] = []
         for i in winners:
-            if kind[i] in (_SCHEDULED, _REDUCED) \
+            if states[i].phase in (DEADLINE, REDUCED) \
                     and not cca_sample(True, rng, p_err):
-                decision = cfmac_probe(states[i], False, t_next, rng)
-                states[i] = decision.state
-                if decision.action is ProbeAction.HOLD_PROBE:
+                if _probe(states[i], False, t_next,
+                          rng) is ProbeAction.HOLD_PROBE:
                     flip_holders.append(i)
-                else:
-                    kind[i] = _LEGACY
-                    reverted.append(i)
             else:
                 txers.append(i)
 
@@ -392,14 +384,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             # nothing actually transmitted, so the shared grid stands; the
             # reverted stations count from now, and the phantom holds fail
             # against a channel that never clears in their eyes and arm the
-            # fallback counted from the end of the hold
-            for i in reverted:
+            # fallback counted from the end of the hold instead
+            for i in winners:
                 loose[i] = t_next
             for i in flip_holders:
-                decision = cfmac_probe(states[i], False, t_next + hold_us, rng)
-                states[i] = decision.state
-                kind[i] = _REDUCED
-                rb_slots[i] = decision.slots
+                _probe(states[i], False, t_next + hold_us, rng)
                 loose[i] = t_next + hold_us
                 reduced.add(i)
             continue
@@ -419,30 +408,24 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                                    f"{grid[0][1]} ran out unnoticed")
         for i, a in loose.items():
             elapsed = (t0 - a - difs) // slot
-            if kind[i] == _LEGACY and elapsed > 0:
-                st = states[i]
-                b = st.backoff.b - elapsed
-                if b < 1:
+            if states[i].phase == BACKOFF and elapsed > 0:
+                if states[i].backoff.b - elapsed < 1:
                     raise RuntimeError(f"backoff of off-grid station {i} "
                                        f"ran out unnoticed")
-                states[i] = replace(st, backoff=replace(st.backoff, b=b))
+                _count_down(states[i], elapsed)
         moved.update(loose)
         loose.clear()
         # a new transmission interrupted the reduced countdowns: that is the
         # second busy finding, those stations abandon their claims
         for i in sorted(reduced):
-            decision = cfmac_probe(states[i], False, t0, rng)
-            states[i] = decision.state
-            kind[i] = _LEGACY
+            _probe(states[i], False, t0, rng)
         moved.update(reduced)
         reduced.clear()
 
         active = [ActiveTransmission(i, t0, t0 + data_us) for i in txers]
-        mode_at = {i: MODE_CODE[states[i].mode] for i in txers}
         flip_joins: set[int] = set()
         groups = _overlap_groups(active)
         free_at = _release_time(groups, sifs_ack_us, difs)
-        holders = set(flip_holders)
 
         # deadline probes and hold expiries inside the busy span, in time
         # order; false-idle samples join mid-air and push the release
@@ -456,7 +439,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 if cca_sample(False, rng, p_err):
                     # phantom idle: transmit into the ongoing traffic
                     active.append(ActiveTransmission(i, tme, tme + data_us))
-                    mode_at[i] = MODE_CODE[states[i].mode]
                     flip_joins.add(i)
                     groups = _overlap_groups(active)
                     grown = _release_time(groups, sifs_ack_us, difs)
@@ -464,27 +446,16 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                         cover(grown, events)
                         free_at = grown
                     continue
-                decision = cfmac_probe(states[i], False, tme, rng)
-                states[i] = decision.state
-                if decision.action is ProbeAction.HOLD_PROBE:
-                    holders.add(i)
+                if _probe(states[i], False, tme,
+                          rng) is ProbeAction.HOLD_PROBE:
                     heapq.heappush(events, (tme + hold_us, 1, i))
-                else:
-                    kind[i] = _LEGACY
             else:
-                decision = cfmac_probe(states[i], False, tme, rng)
-                states[i] = decision.state
-                kind[i] = _REDUCED
-                rb_slots[i] = decision.slots
+                _probe(states[i], False, tme, rng)
                 reduced.add(i)
-                holders.remove(i)
-
-        # holds that outlast the busy span fire at the release instant
-        for i in holders:
-            kind[i] = _CARRY
 
         outcome = _classify(groups, flip_joins)
-        # groups list the transmissions in (start, station) order
+        # groups list the transmissions in (start, station) order; no
+        # transmitter's mode changes before its outcome is applied below
         for group in groups:
             for tx in group:
                 i = tx.station
@@ -492,21 +463,19 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 col_start.append(tx.start)
                 col_end.append(tx.end)
                 col_outcome.append(outcome[i])
-                col_mode.append(mode_at[i])
+                col_mode.append(MODE_CODE[states[i].mode])
 
         for tx in sorted(active, key=lambda t: t.station):
             i = tx.station
+            st = states[i]
             if outcome[i] == _SUCCESS:
-                states[i] = on_success(states[i], tx.start, n, rate, rng, table)
+                _succeed(st, tx.start, n, rate, rng, table)
             else:
-                states[i] = on_failure(states[i], rng, tx_start_us=tx.start,
-                                       n=n, rate=rate, table=table)
-            kind[i] = _SCHEDULED if states[i].mode is Mode.DETERMINISTIC \
-                else _LEGACY
-            if states[i].deadline is not None and states[i].deadline < free_at:
+                _fail(st, rng, tx.start, n, rate, table)
+            if st.deadline is not None and st.deadline < free_at:
                 raise RuntimeError(f"station {i} scheduled its deadline "
-                                   f"{states[i].deadline} us before the "
-                                   f"release at {free_at} us")
+                                   f"{st.deadline} us before the release at "
+                                   f"{free_at} us")
 
         release = clock = free_at
         for i in moved:
@@ -521,9 +490,8 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 columns = tuple(
                     np.concatenate((np.asarray(c, dtype=t.dtype), t))
                     for c, t in zip(columns, tail_columns))
-                for i, w in enumerate(wins.tolist()):
-                    states[i] = replace(states[i],
-                                        successes=states[i].successes + w)
+                for st, w in zip(states, wins.tolist()):
+                    st.successes += w
                 break
 
     station, start, end, outcome, mode = columns

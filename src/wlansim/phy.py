@@ -96,8 +96,3 @@ def ack_airtime(profile: PhyProfile) -> int:
     if profile.preamble is Preamble.DSSS:
         return _dsss_airtime(ACK_MPDU_BYTES, DSSS_ACK_RATE)
     return _ofdm_airtime(ACK_MPDU_BYTES, OFDM_ACK_RATE)
-
-
-def ack_timeout(profile: PhyProfile) -> int:
-    """How long a transmitter waits for an ACK before declaring failure."""
-    return profile.sifs + ack_airtime(profile) + profile.slot

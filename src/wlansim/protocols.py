@@ -9,13 +9,15 @@ finding per spell (two-slot hold, then a reduced random backoff); a second
 busy finding, like a second consecutive collision, drops the station back to
 plain CSMA/CA.
 
-All transitions are pure: they take a StationState and return a new one.
-Times are integer microseconds throughout.
+Each transition rule is written once: it updates the mutable StationState
+the engine keeps per station in place and returns it. The public functions
+apply the same rule to a copy of their input. Times are integer microseconds
+throughout.
 """
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 
 from .schedule import ScheduleTable, DEFAULT_TABLE, cycle_timer
@@ -27,6 +29,12 @@ ECA_BACKOFF = CW_MIN // 2 - 1  # deterministic post-success counter: fires on th
 REDUCED_WINDOW = 7       # probe fallback draws from [0, REDUCED_WINDOW - 1]
 STICKINESS_LIMIT = 2     # consecutive deterministic collisions tolerated before reverting
 BUSY_LIMIT = 2           # busy probe findings tolerated before reverting
+
+# scheduling phase: what a station waits for before its next attempt
+BACKOFF = 0   # legacy mode, the slot countdown of backoff.b
+DEADLINE = 1  # deterministic, its absolute deadline
+HOLD = 2      # deterministic, a hold window for the channel to clear
+REDUCED = 3   # deterministic, the reduced backoff of rb_slots slots
 
 
 class ProtocolKind(Enum):
@@ -62,7 +70,7 @@ class RandomSource:
         return self._rng.random() < probability
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class BackoffState:
     k: int = 0            # current backoff stage
     b: int = 0            # remaining backoff slots
@@ -70,7 +78,7 @@ class BackoffState:
     m: int = MAX_BACKOFF_STAGE
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class StationState:
     station: int
     kind: ProtocolKind
@@ -83,6 +91,8 @@ class StationState:
     deadline: int | None = None  # absolute [us], set only in Deterministic mode
     successes: int = 0
     failures: int = 0
+    rb_slots: int = 0      # reduced-backoff draw, valid in the REDUCED phase
+    phase: int = BACKOFF   # BACKOFF exactly when the mode is legacy
 
 
 @dataclass(frozen=True)
@@ -90,6 +100,16 @@ class ProbeDecision:
     action: ProbeAction
     slots: int | None
     state: StationState
+
+
+def _copied(state: StationState) -> StationState:
+    """A copy of the record that shares no mutable part with it."""
+    b = state.backoff
+    return StationState(state.station, state.kind,
+                        BackoffState(b.k, b.b, b.cw_min, b.m), state.ret,
+                        state.r_max, state.mode, state.consec_failures,
+                        state.busy_probes, state.deadline, state.successes,
+                        state.failures, state.rb_slots, state.phase)
 
 
 def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
@@ -106,61 +126,103 @@ def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> Stat
                         backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
 
 
-def _reverted(state: StationState, rng: RandomSource, **changes) -> StationState:
+def _revert(state: StationState, rng: RandomSource) -> None:
     # back to plain CSMA/CA: stage 0, fresh draw, timers cleared
-    return replace(state, mode=Mode.LEGACY, ret=0, consec_failures=0, busy_probes=0,
-                   deadline=None, backoff=BackoffState(k=0, b=draw_backoff(0, rng)),
-                   **changes)
+    state.mode = Mode.LEGACY
+    state.phase = BACKOFF
+    state.ret = state.consec_failures = state.busy_probes = 0
+    state.deadline = None
+    state.backoff.k = 0
+    state.backoff.b = draw_backoff(0, rng)
+
+
+def _succeed(state: StationState, tx_start_us: int, n: int, rate: int,
+             rng: RandomSource, table: ScheduleTable) -> StationState:
+    state.successes += 1
+    state.ret = 0
+    state.backoff.k = 0
+    if state.kind is ProtocolKind.CSMA_CA:
+        state.backoff.b = draw_backoff(0, rng)
+    elif state.kind is ProtocolKind.CSMA_ECA:
+        state.backoff.b = ECA_BACKOFF
+    else:
+        # CF-MAC: leave the slotted contention, next attempt one cycle on
+        state.backoff.b = 0
+        state.mode = Mode.DETERMINISTIC
+        state.phase = DEADLINE
+        state.consec_failures = state.busy_probes = 0
+        state.deadline = tx_start_us + cycle_timer(n, rate, table)
+    return state
 
 
 def on_success(state: StationState, tx_start_us: int, n: int, rate: int,
                rng: RandomSource, table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK received for the transmission that started at tx_start_us."""
-    successes = state.successes + 1
-    if state.kind is ProtocolKind.CSMA_CA:
-        return replace(state, successes=successes, ret=0,
-                       backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
-    if state.kind is ProtocolKind.CSMA_ECA:
-        return replace(state, successes=successes, ret=0,
-                       backoff=BackoffState(k=0, b=ECA_BACKOFF))
-    # CF-MAC: leave the slotted contention, next attempt one cycle from this one
-    return replace(state, successes=successes, ret=0, mode=Mode.DETERMINISTIC,
-                   consec_failures=0, busy_probes=0, backoff=BackoffState(k=0, b=0),
-                   deadline=tx_start_us + cycle_timer(n, rate, table))
+    return _succeed(_copied(state), tx_start_us, n, rate, rng, table)
+
+
+def _fail(state: StationState, rng: RandomSource, tx_start_us: int | None,
+          n: int | None, rate: int | None, table: ScheduleTable) -> StationState:
+    if state.mode is Mode.LEGACY:
+        state.ret += 1
+        if state.ret >= state.r_max:
+            # retry budget exhausted: drop the packet, start fresh on the next one
+            state.ret = state.backoff.k = 0
+        else:
+            state.backoff.k = min(state.backoff.k + 1, state.backoff.m)
+        state.backoff.b = draw_backoff(state.backoff.k, rng)
+    # Deterministic mode tolerates one collision before giving up the slot
+    elif state.consec_failures + 1 >= STICKINESS_LIMIT:
+        _revert(state, rng)
+    elif tx_start_us is None or n is None or rate is None:
+        raise ValueError("deterministic failure needs tx_start_us, n and rate "
+                         "to schedule the next attempt")
+    else:
+        state.consec_failures += 1
+        state.phase = DEADLINE
+        state.deadline = tx_start_us + cycle_timer(n, rate, table)
+    state.failures += 1
+    return state
 
 
 def on_failure(state: StationState, rng: RandomSource, tx_start_us: int | None = None,
                n: int | None = None, rate: int | None = None,
                table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK timeout elapsed for the station's last transmission."""
-    failures = state.failures + 1
-    if state.mode is Mode.LEGACY:
-        ret = state.ret + 1
-        if ret >= state.r_max:
-            # retry budget exhausted: drop the packet, start fresh on the next one
-            return replace(state, failures=failures, ret=0,
-                           backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
-        k = min(state.backoff.k + 1, state.backoff.m)
-        return replace(state, failures=failures, ret=ret,
-                       backoff=BackoffState(k=k, b=draw_backoff(k, rng)))
-    # Deterministic mode tolerates one collision before giving up the slot
-    consec = state.consec_failures + 1
-    if consec >= STICKINESS_LIMIT:
-        return _reverted(state, rng, failures=failures)
-    if tx_start_us is None or n is None or rate is None:
-        raise ValueError("deterministic failure needs tx_start_us, n and rate "
-                         "to schedule the next attempt")
-    return replace(state, failures=failures, consec_failures=consec,
-                   deadline=tx_start_us + cycle_timer(n, rate, table))
+    return _fail(_copied(state), rng, tx_start_us, n, rate, table)
+
+
+def _count_down(state: StationState, slots: int) -> StationState:
+    # `slots` idle slots observed in legacy mode, floored at zero
+    if state.mode is not Mode.LEGACY:
+        raise ValueError("slot countdown only runs in legacy mode")
+    state.backoff.b = max(state.backoff.b - slots, 0)
+    return state
 
 
 def legacy_tick(state: StationState, slot_idle: bool) -> StationState:
     """One observed slot: decrement on idle, freeze on busy, floor at zero."""
-    if state.mode is not Mode.LEGACY:
-        raise ValueError("slot countdown only runs in legacy mode")
-    if not slot_idle or state.backoff.b == 0:
-        return state
-    return replace(state, backoff=replace(state.backoff, b=state.backoff.b - 1))
+    return _count_down(_copied(state), 1 if slot_idle else 0)
+
+
+def _probe(state: StationState, channel_idle: bool, now_us: int,
+           rng: RandomSource) -> ProbeAction:
+    if state.mode is not Mode.DETERMINISTIC or state.deadline is None:
+        raise ValueError("probe is only defined in deterministic mode")
+    if now_us < state.deadline:
+        raise ValueError("probe fired before the scheduled deadline")
+    if channel_idle:
+        return ProbeAction.TRANSMIT_NOW
+    if state.busy_probes >= BUSY_LIMIT - 1:
+        _revert(state, rng)
+        return ProbeAction.REVERT_LEGACY
+    if now_us == state.deadline:
+        state.phase = HOLD
+        return ProbeAction.HOLD_PROBE
+    state.busy_probes += 1
+    state.phase = REDUCED
+    state.rb_slots = rng.next_uniform(0, REDUCED_WINDOW - 1)
+    return ProbeAction.REDUCED_BACKOFF
 
 
 def cfmac_probe(state: StationState, channel_idle: bool, now_us: int,
@@ -173,16 +235,7 @@ def cfmac_probe(state: StationState, channel_idle: bool, now_us: int,
     any further busy finding before a success reverts the station to legacy
     contention.
     """
-    if state.mode is not Mode.DETERMINISTIC or state.deadline is None:
-        raise ValueError("probe is only defined in deterministic mode")
-    if now_us < state.deadline:
-        raise ValueError("probe fired before the scheduled deadline")
-    if channel_idle:
-        return ProbeDecision(ProbeAction.TRANSMIT_NOW, None, state)
-    if state.busy_probes >= BUSY_LIMIT - 1:
-        return ProbeDecision(ProbeAction.REVERT_LEGACY, None, _reverted(state, rng))
-    if now_us == state.deadline:
-        return ProbeDecision(ProbeAction.HOLD_PROBE, None, state)
-    slots = rng.next_uniform(0, REDUCED_WINDOW - 1)
-    return ProbeDecision(ProbeAction.REDUCED_BACKOFF, slots,
-                         replace(state, busy_probes=state.busy_probes + 1))
+    state = _copied(state)
+    action = _probe(state, channel_idle, now_us, rng)
+    slots = state.rb_slots if action is ProbeAction.REDUCED_BACKOFF else None
+    return ProbeDecision(action, slots, state)

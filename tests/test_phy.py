@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from wlansim.phy import (FrameSpec, Preamble, SUPPORTED_RATES,
-                         UnsupportedRateError, ack_airtime, ack_timeout,
-                         data_airtime, phy_profile)
+                         UnsupportedRateError, ack_airtime, data_airtime,
+                         phy_profile)
 
 MPDU = 1470 + 38  # saturated payload plus MAC overhead
 
@@ -34,11 +34,6 @@ def test_ack_airtimes():
     assert ack_airtime(phy_profile(6)) == 44
     assert ack_airtime(phy_profile(48)) == 44  # control frames ride 6 Mb/s
     assert ack_airtime(phy_profile(11)) == 304
-
-
-def test_ack_timeout():
-    assert ack_timeout(phy_profile(6)) == 10 + 44 + 9
-    assert ack_timeout(phy_profile(11)) == 10 + 304 + 20
 
 
 def test_negative_bytes_rejected():

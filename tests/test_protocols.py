@@ -1,9 +1,10 @@
+import copy
 import dataclasses
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlansim.protocols import (BackoffState, CW_MIN, ECA_BACKOFF,
+from wlansim.protocols import (BACKOFF, BackoffState, CW_MIN, ECA_BACKOFF,
                                MAX_BACKOFF_STAGE, Mode, ProbeAction,
                                ProtocolKind, RandomSource, cfmac_probe,
                                draw_backoff, initial_station, legacy_tick,
@@ -176,28 +177,54 @@ def test_ca_and_eca_failures_agree():
         assert ca.ret == eca.ret and ca.failures == eca.failures
 
 
+def public_step(state, op, rng):
+    """Apply the public transition that op picks, where it is defined."""
+    if op == 0 and state.mode is Mode.LEGACY:
+        return legacy_tick(state, rng.chance(0.5))
+    if op == 1:
+        return on_success(state, 1000, 12, 6, rng)
+    if op == 2:
+        return on_failure(state, rng, tx_start_us=2000, n=12, rate=6)
+    if op == 3 and state.mode is Mode.DETERMINISTIC:
+        return cfmac_probe(state, rng.chance(0.5),
+                           state.deadline + rng.next_uniform(0, 50), rng).state
+    return state
+
+
+SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
+SCRIPTS = st.lists(st.integers(min_value=0, max_value=3), min_size=1,
+                   max_size=60)
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.integers(min_value=0, max_value=2**32 - 1),
-       st.lists(st.integers(min_value=0, max_value=3), min_size=1, max_size=60))
+@given(SEEDS, SCRIPTS)
 def test_transition_sequences_hold_invariants(seed, script):
     rng = RandomSource(seed)
     state = initial_station(0, ProtocolKind.CF_MAC, rng)
     for op in script:
-        if op == 0 and state.mode is Mode.LEGACY:
-            state = legacy_tick(state, rng.chance(0.5))
-        elif op == 1:
-            state = on_success(state, 1000, 12, 6, rng)
-        elif op == 2:
-            state = on_failure(state, rng, tx_start_us=2000, n=12, rate=6)
-        elif op == 3 and state.mode is Mode.DETERMINISTIC:
-            decision = cfmac_probe(state, rng.chance(0.5),
-                                   state.deadline + rng.next_uniform(0, 50), rng)
-            state = decision.state
+        state = public_step(state, op, rng)
         assert 0 <= state.backoff.k <= MAX_BACKOFF_STAGE
         assert 0 <= state.backoff.b <= (CW_MIN << state.backoff.k) - 1
         assert 0 <= state.ret <= state.r_max
+        assert (state.phase == BACKOFF) == (state.mode is Mode.LEGACY)
         if state.mode is Mode.DETERMINISTIC:
             assert state.consec_failures < 2 and state.busy_probes < 2
             assert state.deadline is not None
         else:
             assert state.deadline is None
+
+
+@settings(max_examples=200, deadline=None)
+@given(SEEDS, SCRIPTS, st.sampled_from(ProtocolKind))
+def test_public_transitions_leave_their_input_unchanged(seed, script, kind):
+    # the rules update a record in place; the public functions must apply
+    # them to a copy that shares no mutable part with their input
+    rng = RandomSource(seed)
+    state = initial_station(0, kind, rng)
+    for op in script:
+        before = copy.deepcopy(state)
+        after = public_step(state, op, rng)
+        assert state == before
+        if after is not state:
+            assert after.backoff is not state.backoff
+        state = after
