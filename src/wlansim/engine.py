@@ -30,9 +30,14 @@ at it start transmitting (simultaneous starts collide; ties across the
 grid, the deadlines and the off-grid stations are all due), and resolves the
 busy period that follows: data frames that overlap in time form one
 collision, a lone frame is a success and its ACK arrives SIFS after it
-ends. Outcomes are applied at the channel-release instant; the ACK timeout
-is folded into that release rather than modeled as a separate observable,
-which keeps every legacy station on one shared post-busy slot grid.
+ends. Every station sends the same payload at the same rate, so every data
+frame lasts the same airtime; one pass over a busy period's frames in start
+order (`_resolve`) then yields each outcome and the release instant, since a
+frame overlaps the group before it exactly when it starts less than one
+frame after the previous frame. Outcomes are applied at the
+channel-release instant; the ACK timeout is folded into that release rather
+than modeled as a separate observable, which keeps every legacy station on
+one shared post-busy slot grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -81,7 +86,7 @@ from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProbeAction,
                         ProtocolKind, RandomSource, _count_down, _fail,
                         _probe, _succeed, initial_station)
 from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
-from .trace import MODE_CODE, OUTCOME_CODE, OUTCOMES, Outcome, TraceLog
+from .trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
 
 class ConfigError(ValueError):
@@ -134,13 +139,6 @@ class SimConfig:
                               f"short to cover one frame exchange ({floor} us)")
 
 
-@dataclass(frozen=True)
-class ActiveTransmission:
-    station: int
-    start: int  # [us]
-    end: int    # [us]
-
-
 def frame_exchange_us(rate: int, payload_bytes: int) -> int:
     """Airtime of one data + SIFS + ACK exchange in microseconds."""
     profile = phy_profile(rate)
@@ -161,58 +159,34 @@ def cca_sample(truly_idle: bool, rng: RandomSource, error_prob: float) -> bool:
     return truly_idle
 
 
-def _overlap_groups(txs: list[ActiveTransmission]) -> list[list[ActiveTransmission]]:
-    """Connected components of transmissions under strict temporal overlap."""
-    groups: list[list[ActiveTransmission]] = []
-    group: list[ActiveTransmission] = []
-    group_end = 0
-    for tx in sorted(txs, key=lambda t: (t.start, t.station)):
-        if group and tx.start < group_end:
-            group.append(tx)
-            group_end = max(group_end, tx.end)
-        else:
-            if group:
-                groups.append(group)
-            group = [tx]
-            group_end = tx.end
-    if group:
-        groups.append(group)
-    return groups
+def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
+             sifs_ack_us: int, difs_us: int) -> tuple[list[int], int]:
+    """Outcome codes of one busy period's frames, and its release instant.
 
+    `txs` holds the (start, station) pair of every frame in ascending order,
+    and every frame lasts data_us. Frames that overlap in time form one
+    group; as they are equally long, a frame joins the group of the frame
+    before it exactly when it starts less than data_us after that frame. A
+    lone frame is a Success; a frame in a larger group is a Collision, or a
+    CcaError for a station in `flip_joins` (it started on a false-idle CCA
+    sample). Codes index OUTCOMES and follow the order of `txs`.
 
-def _classify(groups: list[list[ActiveTransmission]],
-              flip_joins=frozenset()) -> dict[int, int]:
-    """Outcome code (an index into OUTCOMES) per station."""
-    out: dict[int, int] = {}
-    for group in groups:
-        if len(group) == 1:
-            out[group[0].station] = _SUCCESS
-            continue
-        for tx in group:
-            out[tx.station] = (_CCA_ERROR if tx.station in flip_joins
-                               else _COLLISION)
-    return out
-
-
-def resolve_overlap(active, flip_joins=frozenset()) -> dict[int, Outcome]:
-    """Success for a lone transmission, Collision for every overlapping one.
-
-    A station in `flip_joins` started on a false-idle CCA sample; if its
-    frame overlaps another it is recorded as CcaError instead of Collision.
+    The channel reads idle again at the latest group end plus that group's
+    tail: SIFS + ACK after a success, DIFS after a collision.
     """
-    return {i: OUTCOMES[code] for i, code
-            in _classify(_overlap_groups(list(active)), flip_joins).items()}
-
-
-def _release_time(groups: list[list[ActiveTransmission]],
-                  sifs_ack_us: int, difs_us: int) -> int:
-    """When the channel reads idle again after these transmissions."""
+    codes = [_SUCCESS] * len(txs)
     release = 0
-    for group in groups:
-        end = max(tx.end for tx in group)
-        tail = sifs_ack_us if len(group) == 1 else difs_us
-        release = max(release, end + tail)
-    return release
+    for k, (start, i) in enumerate(txs):
+        end = start + data_us
+        if k and start < txs[k - 1][0] + data_us:
+            j = txs[k - 1][1]
+            codes[k - 1] = _CCA_ERROR if j in flip_joins else _COLLISION
+            codes[k] = _CCA_ERROR if i in flip_joins else _COLLISION
+        if k + 1 == len(txs) or txs[k + 1][0] >= end:
+            # the last frame of its group, whose end is this frame's end
+            tail = sifs_ack_us if codes[k] == _SUCCESS else difs_us
+            release = max(release, end + tail)
+    return codes, release
 
 
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
@@ -422,14 +396,14 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         moved.update(reduced)
         reduced.clear()
 
-        active = [ActiveTransmission(i, t0, t0 + data_us) for i in txers]
+        txs = [(t0, i) for i in txers]
         flip_joins: set[int] = set()
-        groups = _overlap_groups(active)
-        free_at = _release_time(groups, sifs_ack_us, difs)
+        codes, free_at = _resolve(txs, flip_joins, data_us, sifs_ack_us, difs)
 
         # deadline probes and hold expiries inside the busy span, in time
         # order; false-idle samples join mid-air and push the release
-        # further out, uncovering later deadlines
+        # further out, uncovering later deadlines. Joiners come after t0 in
+        # (time, station) order, so `txs` stays ascending.
         events = [(t0 + hold_us, 1, i) for i in flip_holders]
         cover(free_at, events)
         while events and events[0][0] < free_at:
@@ -438,10 +412,10 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 moved.add(i)
                 if cca_sample(False, rng, p_err):
                     # phantom idle: transmit into the ongoing traffic
-                    active.append(ActiveTransmission(i, tme, tme + data_us))
+                    txs.append((tme, i))
                     flip_joins.add(i)
-                    groups = _overlap_groups(active)
-                    grown = _release_time(groups, sifs_ack_us, difs)
+                    codes, grown = _resolve(txs, flip_joins, data_us,
+                                            sifs_ack_us, difs)
                     if grown > free_at:
                         cover(grown, events)
                         free_at = grown
@@ -453,25 +427,21 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 _probe(states[i], False, tme, rng)
                 reduced.add(i)
 
-        outcome = _classify(groups, flip_joins)
-        # groups list the transmissions in (start, station) order; no
-        # transmitter's mode changes before its outcome is applied below
-        for group in groups:
-            for tx in group:
-                i = tx.station
-                col_station.append(i)
-                col_start.append(tx.start)
-                col_end.append(tx.end)
-                col_outcome.append(outcome[i])
-                col_mode.append(MODE_CODE[states[i].mode])
+        # no transmitter's mode changes before its outcome is applied below
+        for (start, i), code in zip(txs, codes):
+            col_station.append(i)
+            col_start.append(start)
+            col_end.append(start + data_us)
+            col_outcome.append(code)
+            col_mode.append(MODE_CODE[states[i].mode])
 
-        for tx in sorted(active, key=lambda t: t.station):
-            i = tx.station
+        for i, start, code in sorted((i, start, code) for (start, i), code
+                                     in zip(txs, codes)):
             st = states[i]
-            if outcome[i] == _SUCCESS:
-                _succeed(st, tx.start, n, rate, rng, table)
+            if code == _SUCCESS:
+                _succeed(st, start, n, rate, rng, table)
             else:
-                _fail(st, rng, tx.start, n, rate, table)
+                _fail(st, rng, start, n, rate, table)
             if st.deadline is not None and st.deadline < free_at:
                 raise RuntimeError(f"station {i} scheduled its deadline "
                                    f"{st.deadline} us before the release at "

@@ -120,6 +120,11 @@ def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
     return rng.next_uniform(0, (cw_min << k) - 1)
 
 
+def _draw(backoff: BackoffState, rng: RandomSource) -> int:
+    # a fresh counter from the record's own window at its current stage
+    return draw_backoff(backoff.k, rng, backoff.cw_min, backoff.m)
+
+
 def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""
     return StationState(station=station, kind=kind,
@@ -133,7 +138,7 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.ret = state.consec_failures = state.busy_probes = 0
     state.deadline = None
     state.backoff.k = 0
-    state.backoff.b = draw_backoff(0, rng)
+    state.backoff.b = _draw(state.backoff, rng)
 
 
 def _succeed(state: StationState, tx_start_us: int, n: int, rate: int,
@@ -142,7 +147,7 @@ def _succeed(state: StationState, tx_start_us: int, n: int, rate: int,
     state.ret = 0
     state.backoff.k = 0
     if state.kind is ProtocolKind.CSMA_CA:
-        state.backoff.b = draw_backoff(0, rng)
+        state.backoff.b = _draw(state.backoff, rng)
     elif state.kind is ProtocolKind.CSMA_ECA:
         state.backoff.b = ECA_BACKOFF
     else:
@@ -170,7 +175,7 @@ def _fail(state: StationState, rng: RandomSource, tx_start_us: int | None,
             state.ret = state.backoff.k = 0
         else:
             state.backoff.k = min(state.backoff.k + 1, state.backoff.m)
-        state.backoff.b = draw_backoff(state.backoff.k, rng)
+        state.backoff.b = _draw(state.backoff, rng)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)

@@ -1,21 +1,20 @@
-"""Engine tests: overlap resolution, determinism, timing, and config checks."""
+"""Engine tests: busy-period resolution, determinism, timing, and config checks."""
 import numpy as np
 import pytest
 
 from wlansim import engine
 from wlansim.engine import (
-    ActiveTransmission,
     ConfigError,
     SimConfig,
     frame_exchange_us,
-    resolve_overlap,
     run_experiment,
 )
 from wlansim.metrics import steady_state_start
 from wlansim.phy import FrameSpec, UnsupportedRateError, data_airtime, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable
-from wlansim.trace import MODES, OUTCOMES, Outcome, TraceLog, read_trace_csv
+from wlansim.trace import (MODES, OUTCOME_CODE, OUTCOMES, Outcome, TraceLog,
+                           read_trace_csv)
 
 
 def config(**kw):
@@ -48,54 +47,48 @@ def assert_wellformed(trace):
             assert b.outcome is not Outcome.SUCCESS
 
 
-# -- overlap resolution -------------------------------------------------------
+# -- busy-period resolution ---------------------------------------------------
 
-def at(station, start, end):
-    return ActiveTransmission(station=station, start=start, end=end)
-
-
-def test_resolve_overlap_empty():
-    assert resolve_overlap([]) == {}
+DATA, SIFS_ACK, DIFS = 500, 60, 30
+S, C, E = (OUTCOME_CODE[o] for o in
+           (Outcome.SUCCESS, Outcome.COLLISION, Outcome.CCA_ERROR))
 
 
-def test_resolve_overlap_lone_success():
-    assert resolve_overlap([at(0, 100, 600)]) == {0: Outcome.SUCCESS}
-
-
-def test_resolve_overlap_simultaneous_starts_collide():
-    got = resolve_overlap([at(0, 100, 600), at(1, 100, 600)])
-    assert got == {0: Outcome.COLLISION, 1: Outcome.COLLISION}
-
-
-def test_resolve_overlap_staggered_overlap_collides():
-    got = resolve_overlap([at(0, 100, 600), at(1, 400, 900)])
-    assert got == {0: Outcome.COLLISION, 1: Outcome.COLLISION}
-
-
-def test_resolve_overlap_back_to_back_is_clean():
-    # half-open intervals: ending exactly when the next starts is no overlap
-    got = resolve_overlap([at(0, 100, 600), at(1, 600, 1100)])
-    assert got == {0: Outcome.SUCCESS, 1: Outcome.SUCCESS}
-
-
-def test_resolve_overlap_chained_component():
-    got = resolve_overlap([at(0, 0, 500), at(1, 400, 900), at(2, 850, 1300)])
-    assert got == {i: Outcome.COLLISION for i in range(3)}
-
-
-def test_resolve_overlap_mixed_groups():
-    got = resolve_overlap([at(0, 0, 500), at(1, 100, 600), at(2, 700, 1200)])
-    assert got == {0: Outcome.COLLISION, 1: Outcome.COLLISION, 2: Outcome.SUCCESS}
-
-
-def test_resolve_overlap_flip_joiner_is_a_cca_error():
+@pytest.mark.parametrize("txs, flips, codes, release", [
+    pytest.param([], set(), [], 0, id="empty"),
+    pytest.param([(100, 0)], set(), [S], 600 + SIFS_ACK, id="lone_success"),
+    pytest.param([(100, 0), (100, 1)], set(), [C, C], 600 + DIFS,
+                 id="simultaneous_starts_collide"),
+    pytest.param([(100, 0), (400, 1)], set(), [C, C], 900 + DIFS,
+                 id="staggered_overlap_collides"),
+    # half-open frames: ending exactly when the next starts is no overlap
+    pytest.param([(100, 0), (600, 1)], set(), [S, S], 1100 + SIFS_ACK,
+                 id="back_to_back_is_clean"),
+    # 850 overlaps only the second frame, yet joins the whole group
+    pytest.param([(0, 0), (400, 1), (850, 2)], set(), [C, C, C], 1350 + DIFS,
+                 id="chained_component"),
+    pytest.param([(0, 0), (100, 1), (700, 2)], set(), [C, C, S],
+                 1200 + SIFS_ACK, id="mixed_groups"),
     # a station that started on a false-idle sample is blamed on its CCA;
     # the frame it hit is a plain collision, and a lone flip-joined frame
     # (landing after every data frame ended) still succeeds
-    got = resolve_overlap([at(0, 100, 600), at(1, 400, 900), at(2, 1000, 1500)],
-                          flip_joins={1, 2})
-    assert got == {0: Outcome.COLLISION, 1: Outcome.CCA_ERROR,
-                   2: Outcome.SUCCESS}
+    pytest.param([(100, 0), (400, 1), (1000, 2)], {1, 2}, [C, E, S],
+                 1500 + SIFS_ACK, id="flip_joiner_is_a_cca_error"),
+    # a joiner in the SIFS + ACK tail of a lone success succeeds too and
+    # moves the release one frame exchange past its own start
+    pytest.param([(100, 0), (620, 1)], {1}, [S, S], 1120 + SIFS_ACK,
+                 id="tail_joiner_extends_lone_success"),
+    # a joiner during the data frame turns the success into a collision:
+    # the release is the joiner's end plus DIFS, not SIFS + ACK
+    pytest.param([(100, 0), (300, 1)], {1}, [C, E], 800 + DIFS,
+                 id="joiner_turns_success_into_collision"),
+    # the latest group end sets the release even when it ends with the
+    # shorter tail
+    pytest.param([(0, 0), (0, 1), (525, 2)], set(), [C, C, S],
+                 1025 + SIFS_ACK, id="release_from_last_group"),
+])
+def test_resolve(txs, flips, codes, release):
+    assert engine._resolve(txs, flips, DATA, SIFS_ACK, DIFS) == (codes, release)
 
 
 # -- single station -----------------------------------------------------------

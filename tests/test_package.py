@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import wlansim
 
 
@@ -15,3 +18,13 @@ def test_public_names():
         "throughput_per_station"]
     for name in wlansim.__all__:
         assert getattr(wlansim, name) is not None, name
+
+
+def test_no_assert_statements():
+    # invariants are explicit checks, which `python -O` keeps
+    sources = sorted(Path(wlansim.__file__).parent.glob("*.py"))
+    assert len(sources) > 5
+    found = [f"{path.name}:{node.lineno}" for path in sources
+             for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Assert)]
+    assert found == []

@@ -123,6 +123,38 @@ def test_on_failure_second_collision_reverts():
     assert out.deadline is None and out.consec_failures == 0
 
 
+class WindowLog(RandomSource):
+    """Records the inclusive range each draw asks for; draws its low end."""
+
+    def __init__(self):
+        super().__init__(0)
+        self.windows = []
+
+    def next_uniform(self, lo, hi):
+        self.windows.append((lo, hi))
+        return lo
+
+
+def test_transitions_draw_from_the_records_own_window():
+    rng = WindowLog()
+    wide = BackoffState(cw_min=64, m=8)
+    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA), backoff=wide,
+                              r_max=10)
+    for _ in range(8):  # past the default top stage of 6, up to m = 8
+        st_ = on_failure(st_, rng)
+    assert st_.backoff.k == 8
+    on_success(st_, 5000, 2, 6, rng)
+    # deterministic records revert to legacy on a second collision and on
+    # a second busy probe, with a fresh stage-0 draw
+    on_failure(deterministic(consec_failures=1,
+                             backoff=dataclasses.replace(wide)),
+               rng, tx_start_us=40_000, n=12, rate=6)
+    det = deterministic(busy_probes=1, backoff=dataclasses.replace(wide))
+    cfmac_probe(det, False, det.deadline + 100, rng)
+    assert rng.windows == ([(0, (64 << k) - 1) for k in range(1, 9)]
+                           + [(0, 63)] * 3)
+
+
 def test_deterministic_failure_needs_schedule_args():
     with pytest.raises(ValueError):
         on_failure(deterministic(), RandomSource(2))
