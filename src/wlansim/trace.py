@@ -5,10 +5,24 @@ fills them through the metrics to the CSV file: int64 `start` and `end`
 (microseconds), int32 `station`, and int8 `outcome` and `mode` codes, which
 index OUTCOMES and MODES. Row k of every column describes one attempt;
 rows are in (start, station) order.
+
+`TraceLog.write_csv` formats the rows in numpy, with no Python object per
+row. A chunk of rows is laid out as a (rows, quads) array of little-endian
+uint32 "quads", each holding 4 text bytes, with NUL for "nothing here". Per
+integer column a row has a lead quad (the comma before the column, if any,
+and its "-" sign) and then its digits in groups of four, most significant
+first, as many groups as the column's widest value needs. A digit group is
+looked up in one table of 0000-9999: zero-padded below the number's leading
+group, with its leading zeros as NUL in the leading group (0 keeps its
+"0"), and four NULs above it. The row ends with its outcome and mode label
+(",success,legacy\\r\\n" and the like), NUL-padded to whole quads. No byte of
+the CSV text is NUL and the quads hold the text in order, so dropping every
+NUL byte leaves exactly the CSV text.
 """
 from __future__ import annotations
 
 import csv
+import functools
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
@@ -66,21 +80,28 @@ class TraceLog:
     failures: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        self.station = np.asarray(self.station, dtype=np.int32)
+        station = np.asarray(self.station)  # range-checked before the cast
         self.start = np.asarray(self.start, dtype=np.int64)
         self.end = np.asarray(self.end, dtype=np.int64)
         self.outcome = np.asarray(self.outcome, dtype=np.int8)
         self.mode = np.asarray(self.mode, dtype=np.int8)
+        shapes = [c.shape for c in (station, self.start, self.end,
+                                    self.outcome, self.mode)]
+        if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):
+            raise ValueError(f"trace columns must be 1-D and equally long, "
+                             f"got shapes {shapes}")
+        if len(station):
+            lo, hi = station.min(), station.max()
+            if lo < 0 or hi >= self.n_stations:
+                raise ValueError(f"station {lo if lo < 0 else hi} outside "
+                                 f"0..{self.n_stations - 1}")
+        self.station = station.astype(np.int32, copy=False)
 
     @classmethod
     def from_records(cls, records, *, n_stations: int, **params) -> TraceLog:
         """A trace of these records, in the order given; `params` are the
         remaining fields (protocol, rate and so on)."""
         records = list(records)
-        for r in records:
-            if not 0 <= r.station < n_stations:
-                raise ValueError(f"station {r.station} outside "
-                                 f"0..{n_stations - 1}")
         return cls(n_stations=n_stations, **params,
                    station=[r.station for r in records],
                    start=[r.start for r in records],
@@ -98,21 +119,70 @@ class TraceLog:
                     self.mode.tolist())]
 
     def write_csv(self, path: str | Path) -> None:
-        # the bytes csv.writer would produce: no field needs quoting, and
-        # rows end in \r\n
-        labels = np.array([f"{o.value},{m.value}" for o in OUTCOMES
-                           for m in MODES], dtype=object)
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(TRACE_COLUMNS) + "\r\n")
+        # the bytes csv.writer would produce (no field needs quoting, rows
+        # end in \r\n), built as text quads (see the module docstring) and
+        # written without their NULs
+        labels = [f",{o.value},{m.value}\r\n".encode() for o in OUTCOMES
+                  for m in MODES]
+        width = -(-max(map(len, labels)) // 4)
+        label_quads = np.frombuffer(b"".join(
+            x.ljust(4 * width, b"\0") for x in labels), "<u4").reshape(-1, width)
+        columns = ((self.station, b""), (self.start, b","), (self.end, b","))
+        groups = [-(-len(str(max(-int(c.min()), int(c.max())))) // 4)
+                  if len(c) else 1 for c, _ in columns]
+        text = np.empty((min(len(self.start), _ROWS_PER_WRITE),
+                         len(columns) + sum(groups) + width), "<u4")
+        with open(path, "wb") as fh:
+            fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
             for lo in range(0, len(self.start), _ROWS_PER_WRITE):
                 rows = slice(lo, lo + _ROWS_PER_WRITE)
-                label = labels[self.outcome[rows] * len(MODES)
-                               + self.mode[rows]]
-                fh.write("".join([
-                    f"{i},{s},{e},{x}\r\n" for i, s, e, x in zip(
-                        self.station[rows].tolist(),
-                        self.start[rows].tolist(),
-                        self.end[rows].tolist(), label.tolist())]))
+                quads = text[:len(self.start[rows])]
+                q = 0
+                for (column, sep), g in zip(columns, groups):
+                    _put_int(quads[:, q:q + 1 + g], column[rows], sep)
+                    q += 1 + g
+                quads[:, q:] = label_quads.take(
+                    self.outcome[rows] * len(MODES) + self.mode[rows], axis=0)
+                flat = quads.view(np.uint8).ravel()
+                fh.write(flat[flat != 0])
+
+
+@functools.cache
+def _digit_quads() -> np.ndarray:
+    """The text of 0..9999 as '<u4' quads: entry v is v zero-padded to four
+    digits, entry 10000 + v is v with its leading zeros as NUL (0 keeps its
+    "0"), and entry 20000 is four NULs. Built on the first write, not at
+    import."""
+    digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
+    # entry 1000a + 100b + 10c + d holds the digit bytes a, b, c, d in order
+    padded = np.add.outer(np.add.outer(np.add.outer(
+        digit, digit << 8), digit << 16), digit << 24).ravel()
+    bare = padded.copy()
+    for k, below in enumerate((1000, 100, 10)):  # byte k is a leading 0
+        bare[:below] -= ord("0") << 8 * k
+    quads = np.concatenate((padded, bare, np.zeros(1, np.uint32))).astype("<u4")
+    quads.flags.writeable = False
+    return quads
+
+
+def _quad(text: bytes) -> int:
+    return int.from_bytes(text.ljust(4, b"\0"), "little")
+
+
+def _put_int(out: np.ndarray, x: np.ndarray, sep: bytes) -> None:
+    """Write integers x into the (len(x), 1 + groups) quads `out`: `sep`
+    and the sign, then the digit groups of |x|, most significant first."""
+    x = x.astype(np.int64, copy=False)
+    out[:, 0] = np.where(x < 0, _quad(sep + b"-"), _quad(sep))
+    rest = np.abs(x).view(np.uint64)  # exact for INT64_MIN too
+    for col in range(out.shape[1] - 1, 0, -1):
+        above, rest = rest, rest // 10000
+        digits = above - rest * 10000  # faster than np.divmod
+        # padded below the leading group, bare at it, NULs above it
+        kind = (rest == 0) * 10000
+        if col < out.shape[1] - 1:
+            kind += (above == 0) * 10000
+        out[:, col] = _digit_quads().take(digits.astype(np.intp) + kind)
 
 
 def read_trace_csv(path: str | Path) -> list[TransmissionRecord]:
