@@ -68,9 +68,3 @@ def solve_fixed_point(params: DcfModelParams) -> tuple[float, float]:
         p = 0.5 * (lo + hi)
     raise FixedPointError(f"no fixed point below residual {RESIDUAL_TARGET} "
                           f"after {MAX_ITERATIONS} bisection steps (n={params.n})")
-
-
-def expected_loss_fraction(n: int, w: int = 16, m: int = 6) -> float:
-    """Model prediction for the fraction of transmission attempts that fail."""
-    _, p = solve_fixed_point(DcfModelParams(n=n, w=w, m=m))
-    return p

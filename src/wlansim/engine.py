@@ -17,13 +17,15 @@ last channel release, so the loop keeps a single tally `banked` of the idle
 slots counted down so far and files each such station in a heap under the
 key banked + b; its fire instant is release + DIFS + (key - banked) slots.
 When a busy period starts, the slots that elapsed before it are banked in
-one step by advancing the tally, not station by station. Two kinds of
-station count from an anchor of their own instead: one that reverts to
-legacy on a CCA flip while nobody transmits (anchor: that instant), and a
-phantom hold that arms a reduced backoff (anchor: the end of the hold).
-They wait off the grid, are banked one by one at the next busy period, and
-then rejoin the grid. Deterministic deadlines sit in a second heap, and
-carried-over holds in a small map, so one event costs O(log n).
+one step by advancing the tally, not station by station. Every absolute
+instant sits in a second heap, the timeline, as an (instant, phase,
+station) entry: a deadline, the end of a hold inside a busy period, the
+release for a hold that outlasts one, and the fire instant of a station
+counting off the grid from an anchor of its own: one that reverts to legacy
+on a CCA flip while nobody transmits (anchor: that instant), or a phantom
+hold that arms a reduced backoff (anchor: the end of the hold). The next
+busy period banks such stations one by one and they rejoin the grid. Both
+heaps drop superseded entries lazily, so one event costs O(log n).
 
 The loop repeatedly takes the earliest such instant, lets every station due
 at it start transmitting (simultaneous starts collide; ties across the
@@ -256,11 +258,12 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     # and is dropped when it reaches the top
     grid = [(k, i) for i, k in enumerate(gkey)]
     heapq.heapify(grid)
-    # (deadline, station) of every DEADLINE station; an entry leaves the
-    # heap before its station's phase or deadline can change, so none go stale
-    det: list[tuple[int, int]] = []
-    loose: dict[int, int] = {}  # off-grid BACKOFF/REDUCED station -> anchor
-    carry: dict[int, int] = {}  # HOLD station past a busy span -> fire instant
+    # the timeline, (instant, phase, station): an entry is live only while
+    # it is its station's `due` entry (by identity, so a superseded entry
+    # at the same instant stays stale); stale ones are dropped at the top
+    timed: list[tuple[int, int, int]] = []
+    due: list[tuple[int, int, int] | None] = [None] * n
+    loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
     # the trace columns, one plain int per attempt: station, start, end,
     # outcome code, mode code
@@ -272,14 +275,19 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     columns = (col_station, col_start, col_end, col_outcome, col_mode)
     clock = 0
 
+    def schedule(at: int, phase: int, i: int) -> None:
+        # make (at, phase, i) station i's one live entry on the timeline
+        due[i] = entry = (at, phase, i)
+        heapq.heappush(timed, entry)
+
     def place(i: int) -> None:
         # file a station whose phase or counter changed in a busy period; a
         # hold that outlasted it fires at the release instant
         st = states[i]
         if st.phase == DEADLINE:
-            heapq.heappush(det, (st.deadline, i))
+            schedule(st.deadline, DEADLINE, i)
         elif st.phase == HOLD:
-            carry[i] = release
+            schedule(release, HOLD, i)
         else:
             key = banked + (st.rb_slots if st.phase == REDUCED
                             else st.backoff.b)
@@ -287,32 +295,18 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 gkey[i] = key
                 heapq.heappush(grid, (key, i))
 
-    def off_grid_at(i: int) -> int:
-        # fire instant of a station in `loose`, counted from its own anchor
-        st = states[i]
-        b = st.rb_slots if st.phase == REDUCED else st.backoff.b
-        return loose[i] + difs + b * slot
-
-    def cover(hi: int, events: list[tuple[int, int, int]]) -> None:
-        # every deadline before hi becomes a probe inside the busy span
-        while det and det[0][0] < hi:
-            d, j = heapq.heappop(det)
-            heapq.heappush(events, (d, 0, j))
-
     while True:
-        # drop invalidated grid tops, then take the earliest fire instant
+        # drop stale tops, then take the earliest fire instant
         while grid and gkey[grid[0][1]] != grid[0][0]:
             heapq.heappop(grid)
+        while timed and due[timed[0][2]] is not timed[0]:
+            heapq.heappop(timed)
         t_next = duration_us
         if grid:
             grid_at = release + difs + (grid[0][0] - banked) * slot
             t_next = min(t_next, grid_at)
-        if det:
-            t_next = min(t_next, det[0][0])
-        for c in carry.values():
-            t_next = min(t_next, c)
-        for i in loose:
-            t_next = min(t_next, off_grid_at(i))
+        if timed:
+            t_next = min(t_next, timed[0][0])
         if t_next >= duration_us:
             break
         if t_next < clock:
@@ -328,14 +322,13 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 if gkey[i] == key:
                     gkey[i] = None
                     winners.append(i)
-        while det and det[0][0] == t_next:
-            winners.append(heapq.heappop(det)[1])
-        for i in [i for i, c in carry.items() if c == t_next]:
-            del carry[i]
-            winners.append(i)
-        for i in [i for i in loose if off_grid_at(i) == t_next]:
-            del loose[i]
-            winners.append(i)
+        while timed and timed[0][0] == t_next:
+            entry = heapq.heappop(timed)
+            i = entry[2]
+            if due[i] is entry:
+                due[i] = None
+                loose.pop(i, None)
+                winners.append(i)
         winners.sort()
         if reduced:
             reduced.difference_update(winners)
@@ -359,12 +352,15 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             # reverted stations count from now, and the phantom holds fail
             # against a channel that never clears in their eyes and arm the
             # fallback counted from the end of the hold instead
-            for i in winners:
-                loose[i] = t_next
             for i in flip_holders:
                 _probe(states[i], False, t_next + hold_us, rng)
-                loose[i] = t_next + hold_us
-                reduced.add(i)
+            reduced.update(flip_holders)
+            for i in winners:
+                anchor = t_next + hold_us if i in flip_holders else t_next
+                st = states[i]
+                loose[i] = anchor
+                b = st.rb_slots if st.phase == REDUCED else st.backoff.b
+                schedule(anchor + difs + b * slot, st.phase, i)
             continue
 
         # --- busy period ---
@@ -387,6 +383,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                     raise RuntimeError(f"backoff of off-grid station {i} "
                                        f"ran out unnoticed")
                 _count_down(states[i], elapsed)
+            due[i] = None
         moved.update(loose)
         loose.clear()
         # a new transmission interrupted the reduced countdowns: that is the
@@ -400,32 +397,32 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         flip_joins: set[int] = set()
         codes, free_at = _resolve(txs, flip_joins, data_us, sifs_ack_us, difs)
 
-        # deadline probes and hold expiries inside the busy span, in time
-        # order; false-idle samples join mid-air and push the release
-        # further out, uncovering later deadlines. Joiners come after t0 in
+        # deadline probes and hold ends inside the busy span, in time order
+        # and at one instant probes first; false-idle samples join mid-air
+        # and may push the release further out. Joiners come after t0 in
         # (time, station) order, so `txs` stays ascending.
-        events = [(t0 + hold_us, 1, i) for i in flip_holders]
-        cover(free_at, events)
-        while events and events[0][0] < free_at:
-            tme, tag, i = heapq.heappop(events)
-            if tag == 0:
-                moved.add(i)
-                if cca_sample(False, rng, p_err):
-                    # phantom idle: transmit into the ongoing traffic
-                    txs.append((tme, i))
-                    flip_joins.add(i)
-                    codes, grown = _resolve(txs, flip_joins, data_us,
-                                            sifs_ack_us, difs)
-                    if grown > free_at:
-                        cover(grown, events)
-                        free_at = grown
-                    continue
-                if _probe(states[i], False, tme,
-                          rng) is ProbeAction.HOLD_PROBE:
-                    heapq.heappush(events, (tme + hold_us, 1, i))
-            else:
+        for i in flip_holders:
+            schedule(t0 + hold_us, HOLD, i)
+        while timed and timed[0][0] < free_at:
+            entry = heapq.heappop(timed)
+            tme, phase, i = entry
+            if due[i] is not entry:
+                continue
+            due[i] = None
+            moved.add(i)
+            if phase == HOLD:
                 _probe(states[i], False, tme, rng)
                 reduced.add(i)
+            elif cca_sample(False, rng, p_err):
+                # phantom idle: transmit into the ongoing traffic; a joiner
+                # can turn a success into a collision, whose tail is shorter
+                txs.append((tme, i))
+                flip_joins.add(i)
+                codes, grown = _resolve(txs, flip_joins, data_us,
+                                        sifs_ack_us, difs)
+                free_at = max(free_at, grown)
+            elif _probe(states[i], False, tme, rng) is ProbeAction.HOLD_PROBE:
+                schedule(tme + hold_us, HOLD, i)
 
         # no transmitter's mode changes before its outcome is applied below
         for (start, i), code in zip(txs, codes):
@@ -452,9 +449,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             place(i)
 
         # a converged round robin repeats exactly; emit the rest in one go
-        if len(det) == n and not (p_err or carry or loose or reduced):
-            tail = _periodic_tail(det, cycle_us, data_us,
-                                  data_us + sifs_ack_us, duration_us)
+        if not p_err and all(st.phase == DEADLINE for st in states):
+            tail = _periodic_tail([(st.deadline, i)
+                                   for i, st in enumerate(states)],
+                                  cycle_us, data_us, data_us + sifs_ack_us,
+                                  duration_us)
             if tail is not None:
                 tail_columns, wins = tail
                 columns = tuple(

@@ -59,7 +59,6 @@ class RandomSource:
     """Seeded uniform-integer source; one instance drives a whole run."""
 
     def __init__(self, seed: int):
-        self.seed = seed
         self._rng = random.Random(seed)
 
     def next_uniform(self, lo: int, hi: int) -> int:

@@ -48,12 +48,6 @@ DEFAULT_TABLE = ScheduleTable(rows={
 })
 
 
-def per_station_cycle(rate: int, table: ScheduleTable = DEFAULT_TABLE) -> tuple[float, float, int]:
-    """Return (share_us, epsilon_us, total_us) for one station at this rate."""
-    row = table.row(rate)
-    return row.share_us, row.epsilon_us, row.total_us
-
-
 def cycle_timer(n: int, rate: int, table: ScheduleTable = DEFAULT_TABLE) -> int:
     """Deterministic inter-transmission period for n contenders, in microseconds."""
     if n < 1:

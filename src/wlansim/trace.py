@@ -80,22 +80,28 @@ class TraceLog:
     failures: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
-        station = np.asarray(self.station)  # range-checked before the cast
+        # the station, outcome and mode columns are range-checked before
+        # their casts
+        station, outcome, mode = map(np.asarray, (self.station, self.outcome,
+                                                  self.mode))
         self.start = np.asarray(self.start, dtype=np.int64)
         self.end = np.asarray(self.end, dtype=np.int64)
-        self.outcome = np.asarray(self.outcome, dtype=np.int8)
-        self.mode = np.asarray(self.mode, dtype=np.int8)
-        shapes = [c.shape for c in (station, self.start, self.end,
-                                    self.outcome, self.mode)]
+        shapes = [c.shape for c in (station, self.start, self.end, outcome,
+                                    mode)]
         if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):
             raise ValueError(f"trace columns must be 1-D and equally long, "
                              f"got shapes {shapes}")
-        if len(station):
-            lo, hi = station.min(), station.max()
-            if lo < 0 or hi >= self.n_stations:
-                raise ValueError(f"station {lo if lo < 0 else hi} outside "
-                                 f"0..{self.n_stations - 1}")
+        for name, column, count in (("station", station, self.n_stations),
+                                    ("outcome", outcome, len(OUTCOMES)),
+                                    ("mode", mode, len(MODES))):
+            if len(column):
+                lo, hi = column.min(), column.max()
+                if lo < 0 or hi >= count:
+                    raise ValueError(f"{name} {lo if lo < 0 else hi} outside "
+                                     f"0..{count - 1}")
         self.station = station.astype(np.int32, copy=False)
+        self.outcome = outcome.astype(np.int8, copy=False)
+        self.mode = mode.astype(np.int8, copy=False)
 
     @classmethod
     def from_records(cls, records, *, n_stations: int, **params) -> TraceLog:

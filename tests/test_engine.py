@@ -323,6 +323,26 @@ def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
 
 # -- CCA noise ----------------------------------------------------------------
 
+def test_cca_sample_flips_with_its_probability():
+    # a twin source in lockstep shows how many draws each call consumed
+    rng, twin = RandomSource(4), RandomSource(4)
+    for truth in (True, False):
+        assert engine.cca_sample(truth, rng, 0.0) is truth
+    assert rng.next_uniform(0, 10 ** 9) == twin.next_uniform(0, 10 ** 9)
+    for k in range(100):
+        truth = k % 2 == 0
+        assert engine.cca_sample(truth, rng, 1.0) is not truth
+        twin.chance(1.0)
+    flips = 0
+    for k in range(200):
+        truth = k % 3 == 0
+        flipped = twin.chance(0.3)
+        flips += flipped
+        assert engine.cca_sample(truth, rng, 0.3) is (truth is not flipped)
+    assert 0 < flips < 200
+    assert rng.next_uniform(0, 10 ** 9) == twin.next_uniform(0, 10 ** 9)
+
+
 def test_noisy_sensing_run_stays_wellformed():
     trace, report = run_experiment(config(n_stations=4,
                                           protocol=ProtocolKind.CF_MAC,

@@ -12,7 +12,6 @@ import pytest
 from wlansim.bianchi import (
     RESIDUAL_TARGET,
     DcfModelParams,
-    expected_loss_fraction,
     solve_fixed_point,
     transmission_probability,
 )
@@ -77,12 +76,6 @@ def test_params_validation():
         DcfModelParams(n=2, w=0).validate()
     with pytest.raises(ValueError):
         DcfModelParams(n=2, m=-1).validate()
-
-
-def test_expected_loss_fraction_is_collision_probability():
-    for n in (2, 12):
-        _, p = solve_fixed_point(DcfModelParams(n=n))
-        assert expected_loss_fraction(n) == p
 
 
 def test_custom_window_shifts_fixed_point():

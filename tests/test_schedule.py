@@ -4,7 +4,7 @@ from hypothesis import given, strategies as st
 from wlansim.engine import frame_exchange_us
 from wlansim.phy import SUPPORTED_RATES, phy_profile
 from wlansim.schedule import (DEFAULT_TABLE, NoContendersError, ScheduleRow,
-                              ScheduleTable, cycle_timer, per_station_cycle)
+                              ScheduleTable, cycle_timer)
 
 
 def test_default_rows():
@@ -20,7 +20,6 @@ def test_default_rows():
         assert row.share_us == share
         assert row.epsilon_us == eps
         assert row.total_us == total
-        assert per_station_cycle(rate) == (share, eps, total)
 
 
 def test_cycle_timer_values():

@@ -70,3 +70,15 @@ def test_constructor_rejects_unknown_stations(station):
         TraceLog(n_stations=2, **PARAMS, station=[0, station, 1],
                  start=[0, 10, 20], end=[5, 15, 25], outcome=[0, 0, 0],
                  mode=[0, 0, 0])
+
+
+@pytest.mark.parametrize("column,code,count", [
+    ("outcome", -1, len(OUTCOMES)), ("outcome", len(OUTCOMES), len(OUTCOMES)),
+    ("mode", -1, len(MODES)), ("mode", len(MODES), len(MODES))])
+def test_constructor_rejects_unknown_codes(column, code, count):
+    columns = dict(station=[0, 1, 0], start=[0, 10, 20], end=[5, 15, 25],
+                   outcome=[0, 1, 2], mode=[0, 1, 0])
+    columns[column][1] = code
+    with pytest.raises(ValueError,
+                       match=f"{column} {code} outside 0..{count - 1}"):
+        TraceLog(n_stations=2, **PARAMS, **columns)
