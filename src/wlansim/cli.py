@@ -33,10 +33,6 @@ METRICS_COLUMNS = ("station", "throughput_mbps", "jfi", "min_max_ratio",
                    "loss_fraction", "convergence_us")
 
 _PROTOCOLS = {p.value: p for p in ProtocolKind}
-_EXPERIMENT_KEYS = {"protocol", "protocols", "rate", "rates", "stations",
-                    "seed", "seeds", "duration", "warmup", "payload",
-                    "cca_error"}
-_OUTPUT_KEYS = {"directory", "format"}
 
 
 @dataclass
@@ -57,10 +53,9 @@ class ExperimentPlan:
     fmt: str = "csv"
 
     def run_keys(self) -> list[tuple[str, int, int, int]]:
-        keys = sorted((p.value, r, n, s) for p in self.protocols
+        return sorted((p.value, r, n, s) for p in self.protocols
                       for r in self.rates for n in self.stations
                       for s in self.seeds)
-        return keys
 
     def sim_config(self, key: tuple[str, int, int, int]) -> SimConfig:
         proto, rate, n, seed = key
@@ -71,10 +66,8 @@ class ExperimentPlan:
                          warmup_s=self.warmup_s, schedule=self.schedule)
 
     def validate(self) -> None:
-        for name, axis in (("protocols", self.protocols),
-                           ("rates", self.rates),
-                           ("stations", self.stations),
-                           ("seeds", self.seeds)):
+        for name in ("protocols", "rates", "stations", "seeds"):
+            axis = getattr(self, name)
             if not axis:
                 raise ConfigError(f"{name}: empty sweep axis")
             if len(set(axis)) != len(axis):
@@ -83,9 +76,6 @@ class ExperimentPlan:
             if rate not in SUPPORTED_RATES:
                 raise ConfigError(f"rate: unsupported value {rate} "
                                   f"(supported: {SUPPORTED_RATES})")
-        for n in self.stations:
-            if n < 1:
-                raise ConfigError(f"stations: must be at least 1, got {n}")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.fmt}")
         # surface per-run problems (duration, warmup, schedule coverage) now
@@ -99,11 +89,11 @@ def _as_list(value) -> list[str]:
     return [tok for tok in str(value).replace(",", " ").split() if tok]
 
 
-def _parse_protocols(value) -> list[ProtocolKind]:
+def _parse_protocols(key: str, value) -> list[ProtocolKind]:
     out = []
     for name in _as_list(value):
         if name not in _PROTOCOLS:
-            raise ConfigError(f"protocol: unknown name {name!r} "
+            raise ConfigError(f"{key}: unknown name {name!r} "
                               f"(choose from {sorted(_PROTOCOLS)})")
         out.append(_PROTOCOLS[name])
     return out
@@ -121,6 +111,19 @@ def _parse_float(key: str, value) -> float:
         return float(value)
     except (TypeError, ValueError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
+
+
+def _parse_int(key: str, value) -> int:
+    values = _parse_ints(key, value)
+    if len(values) != 1:
+        raise ConfigError(f"{key}: expected one integer, got {value!r}")
+    return values[0]
+
+
+def _parse_path(key: str, value) -> Path:
+    if not isinstance(value, str):
+        raise ConfigError(f"{key}: expected a path, got {value!r}")
+    return Path(value)
 
 
 def _parse_schedule(section: dict) -> ScheduleTable:
@@ -143,6 +146,29 @@ def _parse_schedule(section: dict) -> ScheduleTable:
             raise ConfigError(f"schedule.{key}: {exc}") from None
         rows[rate] = row
     return ScheduleTable(rows=rows)
+
+
+# section -> plan key -> (ExperimentPlan field, parser); the singular axis
+# keys are aliases of the plural ones. [schedule] is read as a whole.
+_PLAN_KEYS = {
+    "experiment": {
+        "protocols": ("protocols", _parse_protocols),
+        "protocol": ("protocols", _parse_protocols),
+        "rates": ("rates", _parse_ints), "rate": ("rates", _parse_ints),
+        "stations": ("stations", _parse_ints),
+        "seeds": ("seeds", _parse_ints), "seed": ("seeds", _parse_ints),
+        "duration": ("duration_s", _parse_float),
+        "warmup": ("warmup_s", _parse_float),
+        "payload": ("payload_bytes", _parse_int),
+        "cca_error": ("cca_error_prob", _parse_float),
+    },
+    "output": {
+        "directory": ("out_dir", _parse_path),
+        "format": ("fmt", lambda key, value: str(value)),
+    },
+}
+_EXPERIMENT_KEYS = set(_PLAN_KEYS["experiment"])
+_OUTPUT_KEYS = set(_PLAN_KEYS["output"])
 
 
 def _sections_from_file(path: Path) -> dict[str, dict]:
@@ -168,52 +194,34 @@ def _sections_from_file(path: Path) -> dict[str, dict]:
         raise ConfigError(f"config: {exc}") from None
 
 
-def parse_config(path: str | Path) -> ExperimentPlan:
-    """Load and validate a plan; an empty file yields the default plan."""
-    sections = _sections_from_file(Path(path))
+def _plan(*layers: dict[str, dict]) -> ExperimentPlan:
+    """Apply each layer of plan sections over the defaults, later layers
+    winning, and validate the combined plan once."""
     plan = ExperimentPlan()
-    for name in sections:
-        if name not in ("experiment", "output", "schedule"):
-            raise ConfigError(f"unknown config section: {name}")
-    exp = sections.get("experiment", {})
-    for key in exp:
-        if key not in _EXPERIMENT_KEYS:
-            raise ConfigError(f"unknown config key: experiment.{key}")
-    if "protocol" in exp or "protocols" in exp:
-        plan.protocols = _parse_protocols(exp.get("protocols", exp.get("protocol")))
-    if "rate" in exp or "rates" in exp:
-        plan.rates = _parse_ints("rates", exp.get("rates", exp.get("rate")))
-    if "stations" in exp:
-        plan.stations = _parse_ints("stations", exp["stations"])
-    if "seed" in exp or "seeds" in exp:
-        plan.seeds = _parse_ints("seeds", exp.get("seeds", exp.get("seed")))
-    if "duration" in exp:
-        plan.duration_s = _parse_float("duration", exp["duration"])
-    if "warmup" in exp:
-        plan.warmup_s = _parse_float("warmup", exp["warmup"])
-    if "payload" in exp:
-        payload = _parse_ints("payload", exp["payload"])
-        if len(payload) != 1:
-            raise ConfigError(f"payload: expected one integer, got "
-                              f"{exp['payload']!r}")
-        plan.payload_bytes = payload[0]
-    if "cca_error" in exp:
-        plan.cca_error_prob = _parse_float("cca_error", exp["cca_error"])
-    out = sections.get("output", {})
-    for key in out:
-        if key not in _OUTPUT_KEYS:
-            raise ConfigError(f"unknown config key: output.{key}")
-    if "directory" in out:
-        if not isinstance(out["directory"], str):
-            raise ConfigError(f"directory: expected a path, got "
-                              f"{out['directory']!r}")
-        plan.out_dir = Path(out["directory"])
-    if "format" in out:
-        plan.fmt = str(out["format"])
-    if "schedule" in sections:
-        plan.schedule = _parse_schedule(sections["schedule"])
+    for sections in layers:
+        for name, section in sections.items():
+            if name == "schedule":
+                plan.schedule = _parse_schedule(section)
+                continue
+            if name not in _PLAN_KEYS:
+                raise ConfigError(f"unknown config section: {name}")
+            given: dict[str, str] = {}  # field -> the key that set it
+            for key, value in section.items():
+                if key not in _PLAN_KEYS[name]:
+                    raise ConfigError(f"unknown config key: {name}.{key}")
+                attr, parse = _PLAN_KEYS[name][key]
+                if attr in given:
+                    raise ConfigError(f"{name}: {given[attr]} and {key} "
+                                      f"set the same axis, give one")
+                given[attr] = key
+                setattr(plan, attr, parse(key, value))
     plan.validate()
     return plan
+
+
+def parse_config(path: str | Path) -> ExperimentPlan:
+    """Load and validate a plan; an empty file yields the default plan."""
+    return _plan(_sections_from_file(Path(path)))
 
 
 def _report_rows(report: MetricsReport) -> list[dict]:
@@ -273,6 +281,8 @@ def _execute(job):
 def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
     """Execute every run in the plan and write the summary; returns the
     process exit status (0 ok, 2 if any run failed)."""
+    if jobs < 1:
+        raise ConfigError("jobs: must be at least 1")
     plan.validate()
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -292,15 +302,12 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                 raise ConfigError(f"output exists, pass --force to "
                                   f"overwrite: {target}")
 
-    results: dict[tuple, tuple] = {}
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for key, report, error in pool.map(_execute, jobs_list):
-                results[key] = (report, error)
+            done = list(pool.map(_execute, jobs_list))
     else:
-        for job in jobs_list:
-            key, report, error = _execute(job)
-            results[key] = (report, error)
+        done = map(_execute, jobs_list)
+    results = {key: (report, error) for key, report, error in done}
 
     failed = [(key, error) for key, (_, error) in sorted(results.items())
               if error is not None]
@@ -349,18 +356,23 @@ def _build_parser() -> _Parser:
 
     run = sub.add_parser("run", help="execute an experiment plan")
     run.add_argument("--config", type=Path, help="INI or JSON plan file")
-    run.add_argument("--protocol", choices=sorted(_PROTOCOLS),
+    # each override's dest is the plan key it replaces
+    run.add_argument("--protocol", dest="protocols",
+                     choices=sorted(_PROTOCOLS),
                      help="override: single protocol")
     run.add_argument("--stations", type=int, help="override: station count")
-    run.add_argument("--rate", type=int, help="override: data rate in Mb/s")
+    run.add_argument("--rate", type=int, dest="rates", metavar="RATE",
+                     help="override: data rate in Mb/s")
     run.add_argument("--duration", type=float, help="simulated seconds")
-    run.add_argument("--seed", type=int, help="override: single seed")
+    run.add_argument("--seed", type=int, dest="seeds", metavar="SEED",
+                     help="override: single seed")
     run.add_argument("--cca-error", type=float, dest="cca_error",
                      help="carrier sense flip probability")
     run.add_argument("--warmup", type=float,
                      help="seconds excluded from metrics")
-    run.add_argument("--out", type=Path, help="output directory")
-    run.add_argument("--format", choices=("csv", "json"), dest="fmt",
+    run.add_argument("--out", dest="directory", metavar="OUT",
+                     help="output directory")
+    run.add_argument("--format", choices=("csv", "json"),
                      help="per-run metrics file format")
     run.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
@@ -374,27 +386,12 @@ def _build_parser() -> _Parser:
 
 
 def _plan_from_args(args) -> ExperimentPlan:
-    plan = parse_config(args.config) if args.config else ExperimentPlan()
-    if args.protocol is not None:
-        plan.protocols = [_PROTOCOLS[args.protocol]]
-    if args.stations is not None:
-        plan.stations = [args.stations]
-    if args.rate is not None:
-        plan.rates = [args.rate]
-    if args.seed is not None:
-        plan.seeds = [args.seed]
-    if args.duration is not None:
-        plan.duration_s = args.duration
-    if args.warmup is not None:
-        plan.warmup_s = args.warmup
-    if args.cca_error is not None:
-        plan.cca_error_prob = args.cca_error
-    if args.out is not None:
-        plan.out_dir = args.out
-    if args.fmt is not None:
-        plan.fmt = args.fmt
-    plan.validate()
-    return plan
+    """The plan file, if any, with the flags that were given on top."""
+    flags = {name: {key: value for key, value in vars(args).items()
+                    if key in keys and value is not None}
+             for name, keys in _PLAN_KEYS.items()}
+    sections = _sections_from_file(args.config) if args.config else {}
+    return _plan(sections, flags)
 
 
 def _cmd_model(args) -> int:
@@ -411,10 +408,8 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         if args.command == "model":
             return _cmd_model(args)
-        plan = _plan_from_args(args)
-        if args.jobs < 1:
-            raise ConfigError("jobs: must be at least 1")
-        return run_plan(plan, force=args.force, jobs=args.jobs)
+        return run_plan(_plan_from_args(args), force=args.force,
+                        jobs=args.jobs)
     except (ConfigError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -130,14 +130,13 @@ def _gap_stats(n: int, station: np.ndarray,
     return out
 
 
-def throughput_per_station(trace: TraceLog, window: tuple[int, int] | None = None,
-                           payload_bytes: int | None = None) -> list[float]:
+def throughput_per_station(trace: TraceLog,
+                           window: tuple[int, int] | None = None) -> list[float]:
     """Delivered payload rate per station over the window, in Mb/s."""
     lo, hi = _default_window(trace, window)
-    payload = trace.payload_bytes if payload_bytes is None else payload_bytes
     station, _, outcome = _in_window(trace, lo, hi)
     return _throughput(_tallies(trace.n_stations, station, outcome)[0],
-                       payload, lo, hi)
+                       trace.payload_bytes, lo, hi)
 
 
 def interarrival_stats(trace: TraceLog,

@@ -87,6 +87,16 @@ def test_empty_axis_rejected(tmp_path):
         parse_config(path)
 
 
+@pytest.mark.parametrize("alias, key, value", [
+    ("protocol", "protocols", "CfMac"), ("rate", "rates", "48"),
+    ("seed", "seeds", "2")])
+def test_axis_key_and_its_alias_rejected(tmp_path, alias, key, value):
+    path = write(tmp_path / "c.ini",
+                 f"[experiment]\n{alias} = {value}\n{key} = {value}\n")
+    with pytest.raises(ConfigError, match=f"{alias} and {key} "):
+        parse_config(path)
+
+
 def test_malformed_ini_rejected(tmp_path):
     path = write(tmp_path / "c.ini", "stations = 3\n")
     with pytest.raises(ConfigError):
@@ -343,6 +353,68 @@ def test_main_run_with_flag_overrides(tmp_path):
     assert len(rows) == 3
     assert {r["protocol"] for r in rows} == {"CsmaEca"}
     assert {r["seed"] for r in rows} == {"3"}
+
+
+def test_flags_apply_before_validation(tmp_path):
+    # the file alone is invalid: the default 5 s warmup outlasts the run
+    path = write(tmp_path / "c.ini", "[experiment]\nduration = 0.2\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--warmup", "0.02",
+                 "--stations", "2", "--out", str(out)]) == 0
+    assert {r["protocol"] for r in read_summary(out)} == {"CfMac"}
+
+
+def test_rate_flag_drops_the_rows_it_removes_from_the_sweep(tmp_path):
+    # 100 us cannot hold a 48 Mb/s frame exchange, but --rate 6 leaves
+    # 48 Mb/s out of the sweep
+    path = write(tmp_path / "c.ini", """\
+        [experiment]
+        rates = 6, 48
+        stations = 2
+        duration = 0.2
+        warmup = 0.02
+
+        [schedule]
+        48 = 50, 50
+    """)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--rate", "6",
+                 "--out", str(out)]) == 0
+    assert {r["rate_mbps"] for r in read_summary(out)} == {"6"}
+
+
+def test_flag_replaces_the_file_alias_key(tmp_path):
+    path = write(tmp_path / "c.ini", "[experiment]\nprotocol = CsmaCa\n")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--protocol", "CsmaEca",
+                 "--stations", "2", "--duration", "0.05", "--warmup", "0.01",
+                 "--out", str(out)]) == 0
+    assert {r["protocol"] for r in read_summary(out)} == {"CsmaEca"}
+
+
+def test_out_flag_overrides_the_output_directory(tmp_path):
+    path = write(tmp_path / "c.ini", f"""\
+        [experiment]
+        stations = 2
+        duration = 0.05
+        warmup = 0.01
+
+        [output]
+        directory = {tmp_path / "file"}
+    """)
+    out = tmp_path / "flag"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert read_summary(out)
+    assert not (tmp_path / "file").exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_run_plan_rejects_fewer_than_one_job(tmp_path, jobs):
+    plan = ExperimentPlan(stations=[2], duration_s=0.05, warmup_s=0.01,
+                          out_dir=tmp_path / "out")
+    with pytest.raises(ConfigError, match="jobs: must be at least 1"):
+        run_plan(plan, jobs=jobs)
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_reports_config_errors(tmp_path, capsys):
