@@ -167,8 +167,6 @@ _PLAN_KEYS = {
         "format": ("fmt", lambda key, value: str(value)),
     },
 }
-_EXPERIMENT_KEYS = set(_PLAN_KEYS["experiment"])
-_OUTPUT_KEYS = set(_PLAN_KEYS["output"])
 
 
 def _sections_from_file(path: Path) -> dict[str, dict]:
@@ -302,8 +300,10 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                 raise ConfigError(f"output exists, pass --force to "
                                   f"overwrite: {target}")
 
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    # no more workers than cells; one worker runs in this process
+    workers = min(jobs, len(jobs_list))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_execute, jobs_list))
     else:
         done = map(_execute, jobs_list)
@@ -396,6 +396,9 @@ def _plan_from_args(args) -> ExperimentPlan:
 
 def _cmd_model(args) -> int:
     counts = _parse_ints("stations", args.stations)
+    if any(n < 1 for n in counts):
+        raise ConfigError(f"stations: counts must be at least 1, "
+                          f"got {args.stations!r}")
     print("n,tau,p")
     for n in counts:
         tau, p = solve_fixed_point(DcfModelParams(n=n))

@@ -9,7 +9,7 @@ idle span the record's phase gives the station's next attempt instant:
                     the station observed)
   deterministic     its absolute deadline, unaligned to any slot grid
   hold carry-over   the exact channel-release instant
-  reduced backoff   release + DIFS + rb slots
+  reduced backoff   release + DIFS + b slots (b is the reduced draw)
 
 Idle slots are counted lazily on a virtual clock. Every backoff station
 (legacy or reduced) counts on one shared grid that starts DIFS after the
@@ -98,6 +98,7 @@ class ConfigError(ValueError):
 _SUCCESS = OUTCOME_CODE[Outcome.SUCCESS]
 _COLLISION = OUTCOME_CODE[Outcome.COLLISION]
 _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
+_LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 
 
@@ -115,10 +116,19 @@ class SimConfig:
     warmup_s: float = 5.0
     schedule: ScheduleTable = DEFAULT_TABLE
 
+    # the engine runs in whole microseconds, rounded here and only here
+    @property
+    def duration_us(self) -> int:
+        return round(self.duration_s * 1_000_000)
+
+    @property
+    def warmup_us(self) -> int:
+        return round(self.warmup_s * 1_000_000)
+
     def validate(self) -> None:
         if self.n_stations < 1:
             raise ConfigError("n_stations must be at least 1")
-        # the run is counted in whole microseconds, which must be finite too
+        # duration_us must be finite too
         if not (self.duration_s > 0
                 and math.isfinite(self.duration_s * 1_000_000)):
             raise ConfigError("duration must be positive and finite")
@@ -127,6 +137,9 @@ class SimConfig:
         if not 0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup must be non-negative and shorter than "
                               "the run")
+        if not self.warmup_us < self.duration_us:
+            raise ConfigError("the run must outlast the warmup by at least "
+                              "1 us once both are rounded to whole us")
         if not 0.0 <= self.cca_error_prob <= 1.0:
             raise ConfigError("cca_error_prob must lie in [0, 1]")
         if not 0 < self.payload_bytes <= MAX_MSDU_BYTES:
@@ -193,7 +206,7 @@ def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
 
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
                    data_us: int, exchange_us: int, duration_us: int
-                   ) -> tuple[tuple[np.ndarray, ...], np.ndarray] | None:
+                   ) -> tuple[np.ndarray, ...] | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
     Called with the (deadline, station) pair of every station once all n
@@ -209,8 +222,7 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     end of the run, and nothing else happens.
 
     Returns those Deterministic-mode successes as the trace columns
-    (station, start, end, outcome, mode), in start order, and the number
-    each station adds to its success tally, indexed by station.
+    (station, start, end, outcome, mode), in start order.
     """
     order = sorted(deadlines)
     first = np.array([d for d, _ in order], dtype=np.int64)
@@ -224,10 +236,9 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     start = start[:rows]
     station = np.tile(np.array([i for _, i in order], dtype=np.int32),
                       cycles)[:rows]
-    columns = (station, start, start + data_us,
-               np.full(rows, _SUCCESS, dtype=np.int8),
-               np.full(rows, _DETERMINISTIC, dtype=np.int8))
-    return columns, np.bincount(station, minlength=len(order))
+    return (station, start, start + data_us,
+            np.full(rows, _SUCCESS, dtype=np.int8),
+            np.full(rows, _DETERMINISTIC, dtype=np.int8))
 
 
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
@@ -240,12 +251,9 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     sifs_ack_us = profile.sifs + ack_airtime(profile)
     hold_us = 2 * slot
     n = config.n_stations
-    rate = config.rate
-    table = config.schedule
-    duration_us = round(config.duration_s * 1_000_000)
-    warmup_us = round(config.warmup_s * 1_000_000)
+    duration_us = config.duration_us
     p_err = config.cca_error_prob
-    cycle_us = cycle_timer(n, rate, table)
+    cycle_us = cycle_timer(n, config.rate, config.schedule)
 
     rng = RandomSource(config.seed)
     states = [initial_station(i, config.protocol, rng) for i in range(n)]
@@ -289,8 +297,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         elif st.phase == HOLD:
             schedule(release, HOLD, i)
         else:
-            key = banked + (st.rb_slots if st.phase == REDUCED
-                            else st.backoff.b)
+            key = banked + st.backoff.b
             if gkey[i] != key:
                 gkey[i] = key
                 heapq.heappush(grid, (key, i))
@@ -359,8 +366,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 anchor = t_next + hold_us if i in flip_holders else t_next
                 st = states[i]
                 loose[i] = anchor
-                b = st.rb_slots if st.phase == REDUCED else st.backoff.b
-                schedule(anchor + difs + b * slot, st.phase, i)
+                schedule(anchor + difs + st.backoff.b * slot, st.phase, i)
             continue
 
         # --- busy period ---
@@ -430,15 +436,16 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             col_start.append(start)
             col_end.append(start + data_us)
             col_outcome.append(code)
-            col_mode.append(MODE_CODE[states[i].mode])
+            col_mode.append(_LEGACY if states[i].phase == BACKOFF
+                            else _DETERMINISTIC)
 
         for i, start, code in sorted((i, start, code) for (start, i), code
                                      in zip(txs, codes)):
             st = states[i]
             if code == _SUCCESS:
-                _succeed(st, start, n, rate, rng, table)
+                _succeed(st, start, cycle_us, rng)
             else:
-                _fail(st, rng, start, n, rate, table)
+                _fail(st, start, cycle_us, rng)
             if st.deadline is not None and st.deadline < free_at:
                 raise RuntimeError(f"station {i} scheduled its deadline "
                                    f"{st.deadline} us before the release at "
@@ -455,22 +462,14 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                                   cycle_us, data_us, data_us + sifs_ack_us,
                                   duration_us)
             if tail is not None:
-                tail_columns, wins = tail
-                columns = tuple(
-                    np.concatenate((np.asarray(c, dtype=t.dtype), t))
-                    for c, t in zip(columns, tail_columns))
-                for st, w in zip(states, wins.tolist()):
-                    st.successes += w
+                columns = tuple(np.concatenate((np.asarray(c, t.dtype), t))
+                                for c, t in zip(columns, tail))
                 break
 
     station, start, end, outcome, mode = columns
-    trace = TraceLog(protocol=config.protocol, n_stations=n, rate=rate,
+    trace = TraceLog(protocol=config.protocol, n_stations=n, rate=config.rate,
                      payload_bytes=config.payload_bytes,
-                     duration_us=duration_us, warmup_us=warmup_us,
-                     seed=config.seed,
-                     cycle_us=cycle_us,
-                     station=station, start=start, end=end, outcome=outcome,
-                     mode=mode,
-                     successes=[s.successes for s in states],
-                     failures=[s.failures for s in states])
+                     duration_us=duration_us, warmup_us=config.warmup_us,
+                     seed=config.seed, cycle_us=cycle_us, station=station,
+                     start=start, end=end, outcome=outcome, mode=mode)
     return trace, compute_report(trace)

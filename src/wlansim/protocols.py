@@ -34,7 +34,7 @@ BUSY_LIMIT = 2           # busy probe findings tolerated before reverting
 BACKOFF = 0   # legacy mode, the slot countdown of backoff.b
 DEADLINE = 1  # deterministic, its absolute deadline
 HOLD = 2      # deterministic, a hold window for the channel to clear
-REDUCED = 3   # deterministic, the reduced backoff of rb_slots slots
+REDUCED = 3   # deterministic, the reduced backoff of backoff.b slots
 
 
 class ProtocolKind(Enum):
@@ -84,14 +84,15 @@ class StationState:
     backoff: BackoffState
     ret: int = 0
     r_max: int = MAX_RETRIES
-    mode: Mode = Mode.LEGACY
     consec_failures: int = 0
     busy_probes: int = 0
     deadline: int | None = None  # absolute [us], set only in Deterministic mode
-    successes: int = 0
-    failures: int = 0
-    rb_slots: int = 0      # reduced-backoff draw, valid in the REDUCED phase
-    phase: int = BACKOFF   # BACKOFF exactly when the mode is legacy
+    phase: int = BACKOFF
+
+    @property
+    def mode(self) -> Mode:
+        """Legacy exactly in the BACKOFF phase."""
+        return Mode.LEGACY if self.phase == BACKOFF else Mode.DETERMINISTIC
 
 
 @dataclass(frozen=True)
@@ -106,9 +107,8 @@ def _copied(state: StationState) -> StationState:
     b = state.backoff
     return StationState(state.station, state.kind,
                         BackoffState(b.k, b.b, b.cw_min, b.m), state.ret,
-                        state.r_max, state.mode, state.consec_failures,
-                        state.busy_probes, state.deadline, state.successes,
-                        state.failures, state.rb_slots, state.phase)
+                        state.r_max, state.consec_failures,
+                        state.busy_probes, state.deadline, state.phase)
 
 
 def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
@@ -132,7 +132,6 @@ def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> Stat
 
 def _revert(state: StationState, rng: RandomSource) -> None:
     # back to plain CSMA/CA: stage 0, fresh draw, timers cleared
-    state.mode = Mode.LEGACY
     state.phase = BACKOFF
     state.ret = state.consec_failures = state.busy_probes = 0
     state.deadline = None
@@ -140,9 +139,8 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.backoff.b = _draw(state.backoff, rng)
 
 
-def _succeed(state: StationState, tx_start_us: int, n: int, rate: int,
-             rng: RandomSource, table: ScheduleTable) -> StationState:
-    state.successes += 1
+def _succeed(state: StationState, tx_start_us: int, cycle_us: int,
+             rng: RandomSource) -> StationState:
     state.ret = 0
     state.backoff.k = 0
     if state.kind is ProtocolKind.CSMA_CA:
@@ -152,22 +150,22 @@ def _succeed(state: StationState, tx_start_us: int, n: int, rate: int,
     else:
         # CF-MAC: leave the slotted contention, next attempt one cycle on
         state.backoff.b = 0
-        state.mode = Mode.DETERMINISTIC
         state.phase = DEADLINE
         state.consec_failures = state.busy_probes = 0
-        state.deadline = tx_start_us + cycle_timer(n, rate, table)
+        state.deadline = tx_start_us + cycle_us
     return state
 
 
 def on_success(state: StationState, tx_start_us: int, n: int, rate: int,
                rng: RandomSource, table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK received for the transmission that started at tx_start_us."""
-    return _succeed(_copied(state), tx_start_us, n, rate, rng, table)
+    return _succeed(_copied(state), tx_start_us, cycle_timer(n, rate, table),
+                    rng)
 
 
-def _fail(state: StationState, rng: RandomSource, tx_start_us: int | None,
-          n: int | None, rate: int | None, table: ScheduleTable) -> StationState:
-    if state.mode is Mode.LEGACY:
+def _fail(state: StationState, tx_start_us: int | None, cycle_us: int | None,
+          rng: RandomSource) -> StationState:
+    if state.phase == BACKOFF:
         state.ret += 1
         if state.ret >= state.r_max:
             # retry budget exhausted: drop the packet, start fresh on the next one
@@ -178,14 +176,13 @@ def _fail(state: StationState, rng: RandomSource, tx_start_us: int | None,
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)
-    elif tx_start_us is None or n is None or rate is None:
+    elif tx_start_us is None or cycle_us is None:
         raise ValueError("deterministic failure needs tx_start_us, n and rate "
                          "to schedule the next attempt")
     else:
         state.consec_failures += 1
         state.phase = DEADLINE
-        state.deadline = tx_start_us + cycle_timer(n, rate, table)
-    state.failures += 1
+        state.deadline = tx_start_us + cycle_us
     return state
 
 
@@ -193,12 +190,13 @@ def on_failure(state: StationState, rng: RandomSource, tx_start_us: int | None =
                n: int | None = None, rate: int | None = None,
                table: ScheduleTable = DEFAULT_TABLE) -> StationState:
     """ACK timeout elapsed for the station's last transmission."""
-    return _fail(_copied(state), rng, tx_start_us, n, rate, table)
+    cycle_us = None if n is None or rate is None else cycle_timer(n, rate, table)
+    return _fail(_copied(state), tx_start_us, cycle_us, rng)
 
 
 def _count_down(state: StationState, slots: int) -> StationState:
     # `slots` idle slots observed in legacy mode, floored at zero
-    if state.mode is not Mode.LEGACY:
+    if state.phase != BACKOFF:
         raise ValueError("slot countdown only runs in legacy mode")
     state.backoff.b = max(state.backoff.b - slots, 0)
     return state
@@ -211,7 +209,7 @@ def legacy_tick(state: StationState, slot_idle: bool) -> StationState:
 
 def _probe(state: StationState, channel_idle: bool, now_us: int,
            rng: RandomSource) -> ProbeAction:
-    if state.mode is not Mode.DETERMINISTIC or state.deadline is None:
+    if state.phase == BACKOFF or state.deadline is None:
         raise ValueError("probe is only defined in deterministic mode")
     if now_us < state.deadline:
         raise ValueError("probe fired before the scheduled deadline")
@@ -223,9 +221,10 @@ def _probe(state: StationState, channel_idle: bool, now_us: int,
     if now_us == state.deadline:
         state.phase = HOLD
         return ProbeAction.HOLD_PROBE
+    # k is 0 throughout Deterministic mode, so the draw fits the window
     state.busy_probes += 1
     state.phase = REDUCED
-    state.rb_slots = rng.next_uniform(0, REDUCED_WINDOW - 1)
+    state.backoff.b = rng.next_uniform(0, REDUCED_WINDOW - 1)
     return ProbeAction.REDUCED_BACKOFF
 
 
@@ -241,5 +240,5 @@ def cfmac_probe(state: StationState, channel_idle: bool, now_us: int,
     """
     state = _copied(state)
     action = _probe(state, channel_idle, now_us, rng)
-    slots = state.rb_slots if action is ProbeAction.REDUCED_BACKOFF else None
+    slots = state.backoff.b if action is ProbeAction.REDUCED_BACKOFF else None
     return ProbeDecision(action, slots, state)

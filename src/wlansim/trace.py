@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import csv
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
 
@@ -76,8 +76,6 @@ class TraceLog:
     end: np.ndarray = ()
     outcome: np.ndarray = ()
     mode: np.ndarray = ()
-    successes: list[int] = field(default_factory=list)  # per-station tallies
-    failures: list[int] = field(default_factory=list)
 
     def __post_init__(self) -> None:
         # the station, outcome and mode columns are range-checked before

@@ -1,6 +1,7 @@
 """Front-end tests: config parsing, sweep artifacts, replay, exit codes."""
 import csv
 import json
+import multiprocessing
 import textwrap
 from pathlib import Path
 
@@ -9,8 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from wlansim.bianchi import DcfModelParams, solve_fixed_point
 from wlansim.cli import (
-    _EXPERIMENT_KEYS,
-    _OUTPUT_KEYS,
+    _PLAN_KEYS,
     SUMMARY_COLUMNS,
     ExperimentPlan,
     main,
@@ -166,7 +166,8 @@ def test_payload_above_one_msdu_rejected(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
-_PLAN_KEYS = sorted(_EXPERIMENT_KEYS | _OUTPUT_KEYS) + ["48", "bogus"]
+_KEYS = sorted({k for keys in _PLAN_KEYS.values() for k in keys}) + [
+    "48", "bogus"]
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
     lambda inner: st.lists(inner, max_size=3)
@@ -175,11 +176,11 @@ _JSON_VALUES = st.recursive(
 _SECTIONS = st.sampled_from(["experiment", "output", "schedule", "bogus"])
 _JSON_PLANS = st.dictionaries(
     _SECTIONS,
-    st.dictionaries(st.sampled_from(_PLAN_KEYS), _JSON_VALUES, max_size=4)
+    st.dictionaries(st.sampled_from(_KEYS), _JSON_VALUES, max_size=4)
     | _JSON_VALUES,
     max_size=3).map(json.dumps)
 _INI_PLANS = st.lists(
-    st.tuples(_SECTIONS, st.lists(st.tuples(st.sampled_from(_PLAN_KEYS),
+    st.tuples(_SECTIONS, st.lists(st.tuples(st.sampled_from(_KEYS),
                                             st.text(max_size=12)),
                                   max_size=4)),
     max_size=3).map(lambda secs: "".join(
@@ -328,6 +329,22 @@ def test_parallel_matches_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def test_one_cell_plan_starts_no_worker_process(tmp_path, monkeypatch):
+    started = []
+    real = multiprocessing.process.BaseProcess.start
+
+    def start(self):
+        started.append(self)
+        real(self)
+
+    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    plan = ExperimentPlan(stations=[2], duration_s=0.05, warmup_s=0.01,
+                          out_dir=tmp_path / "out")
+    assert run_plan(plan, jobs=3) == 0
+    assert started == []
+    assert read_summary(tmp_path / "out")
+
+
 def test_failed_run_reports_and_exits_two(tmp_path, capsys):
     out = tmp_path / "out"
     out.mkdir()
@@ -423,6 +440,20 @@ def test_main_reports_config_errors(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("duration, warmup", [
+    pytest.param("1e-7", "0", id="under_one_us"),
+    pytest.param("1.4e-6", "1e-6", id="warmup_rounds_to_the_end")])
+def test_main_rejects_runs_shorter_than_one_microsecond(tmp_path, capsys,
+                                                        duration, warmup):
+    rc = main(["run", "--duration", duration, "--warmup", warmup,
+               "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("flag", ["--duration", "--warmup"])
 @pytest.mark.parametrize("value", ["inf", "nan", "1e303"])
 def test_main_rejects_non_finite_times(tmp_path, capsys, flag, value):
@@ -460,3 +491,12 @@ def test_model_table_output(capsys):
         tau_ref, p_ref = solve_fixed_point(DcfModelParams(n=n))
         assert float(tau) == tau_ref
         assert float(p) == p_ref
+
+
+@pytest.mark.parametrize("stations", ["0", "2,0", "-3"])
+def test_model_rejects_counts_below_one(capsys, stations):
+    assert main(["model", "--stations", stations]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
+    assert err.count("\n") == 1
