@@ -36,10 +36,14 @@ ends. Every station sends the same payload at the same rate, so every data
 frame lasts the same airtime; one pass over a busy period's frames in start
 order (`_resolve`) then yields each outcome and the release instant, since a
 frame overlaps the group before it exactly when it starts less than one
-frame after the previous frame. Outcomes are applied at the
-channel-release instant; the ACK timeout is folded into that release rather
-than modeled as a separate observable, which keeps every legacy station on
-one shared post-busy slot grid.
+frame after the previous frame (a lone frame needs no pass). Outcomes are
+applied at the channel-release instant in station order, which the frames
+are in unless a station joined mid-air (only then are they sorted); the ACK
+timeout is folded into that release rather than modeled as a separate
+observable, which keeps every legacy station on one shared post-busy slot
+grid. Each attempt appends a row of five int64 (station, start, end,
+outcome, mode) to one array('q') buffer, split into the trace's columns at
+the end of the run.
 
 Channel occupancy is bookkept conservatively:
 
@@ -77,6 +81,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from array import array
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,6 +105,7 @@ _COLLISION = OUTCOME_CODE[Outcome.COLLISION]
 _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
+_COLUMN_DTYPES = (np.int32, np.int64, np.int64, np.int8, np.int8)
 
 
 @dataclass
@@ -273,14 +279,9 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     due: list[tuple[int, int, int] | None] = [None] * n
     loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
-    # the trace columns, one plain int per attempt: station, start, end,
-    # outcome code, mode code
-    col_station: list[int] = []
-    col_start: list[int] = []
-    col_end: list[int] = []
-    col_outcome: list[int] = []
-    col_mode: list[int] = []
-    columns = (col_station, col_start, col_end, col_outcome, col_mode)
+    rows = array("q")  # station, start, end, outcome, mode per attempt
+    tail = None
+    converge = not p_err and config.protocol is ProtocolKind.CF_MAC
     clock = 0
 
     def schedule(at: int, phase: int, i: int) -> None:
@@ -289,12 +290,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         heapq.heappush(timed, entry)
 
     def place(i: int) -> None:
-        # file a station whose phase or counter changed in a busy period; a
-        # hold that outlasted it fires at the release instant
+        # file a non-transmitter whose phase or counter changed in a busy
+        # period (only an outcome sets DEADLINE); a hold that outlasted the
+        # period fires at the release instant
         st = states[i]
-        if st.phase == DEADLINE:
-            schedule(st.deadline, DEADLINE, i)
-        elif st.phase == HOLD:
+        if st.phase == HOLD:
             schedule(release, HOLD, i)
         else:
             key = banked + st.backoff.b
@@ -343,18 +343,20 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         # stations due now fire unless a CCA flip makes them see a phantom
         # busy; flipped scheduled stations start a hold window, flipped
         # reduced-backoff stations take the busy finding as final and revert
-        txers: list[int] = []
+        txs: list[tuple[int, int]] = []  # (start, station) of every frame
+        moved: set[int] = set()  # non-transmitters to file after the period
         flip_holders: list[int] = []
         for i in winners:
             if states[i].phase in (DEADLINE, REDUCED) \
                     and not cca_sample(True, rng, p_err):
+                moved.add(i)
                 if _probe(states[i], False, t_next,
                           rng) is ProbeAction.HOLD_PROBE:
                     flip_holders.append(i)
             else:
-                txers.append(i)
+                txs.append((t_next, i))
 
-        if not txers:
+        if not txs:
             # nothing actually transmitted, so the shared grid stands; the
             # reverted stations count from now, and the phantom holds fail
             # against a channel that never clears in their eyes and arm the
@@ -371,7 +373,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
 
         # --- busy period ---
         t0 = t_next
-        moved = set(winners)
         # bank the idle slots that elapsed before the channel went busy: one
         # step of the virtual clock for the shared grid, one by one off it
         elapsed = (t0 - release - difs) // slot
@@ -382,26 +383,31 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             if grid and grid[0][0] - banked < 1:
                 raise RuntimeError(f"shared-grid backoff of station "
                                    f"{grid[0][1]} ran out unnoticed")
-        for i, a in loose.items():
-            elapsed = (t0 - a - difs) // slot
-            if states[i].phase == BACKOFF and elapsed > 0:
-                if states[i].backoff.b - elapsed < 1:
-                    raise RuntimeError(f"backoff of off-grid station {i} "
-                                       f"ran out unnoticed")
-                _count_down(states[i], elapsed)
-            due[i] = None
-        moved.update(loose)
-        loose.clear()
-        # a new transmission interrupted the reduced countdowns: that is the
-        # second busy finding, those stations abandon their claims
-        for i in sorted(reduced):
-            _probe(states[i], False, t0, rng)
-        moved.update(reduced)
-        reduced.clear()
+        if loose:
+            for i, a in loose.items():
+                elapsed = (t0 - a - difs) // slot
+                if states[i].phase == BACKOFF and elapsed > 0:
+                    if states[i].backoff.b - elapsed < 1:
+                        raise RuntimeError(f"backoff of off-grid station {i} "
+                                           f"ran out unnoticed")
+                    _count_down(states[i], elapsed)
+                due[i] = None
+            moved.update(loose)
+            loose.clear()
+        if reduced:
+            # a new transmission interrupted the reduced countdowns: that is
+            # the second busy finding, those stations abandon their claims
+            for i in sorted(reduced):
+                _probe(states[i], False, t0, rng)
+            moved.update(reduced)
+            reduced.clear()
 
-        txs = [(t0, i) for i in txers]
         flip_joins: set[int] = set()
-        codes, free_at = _resolve(txs, flip_joins, data_us, sifs_ack_us, difs)
+        if len(txs) == 1:
+            codes, free_at = [_SUCCESS], t0 + data_us + sifs_ack_us
+        else:
+            codes, free_at = _resolve(txs, flip_joins, data_us, sifs_ack_us,
+                                      difs)
 
         # deadline probes and hold ends inside the busy span, in time order
         # and at one instant probes first; false-idle samples join mid-air
@@ -415,11 +421,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             if due[i] is not entry:
                 continue
             due[i] = None
-            moved.add(i)
-            if phase == HOLD:
-                _probe(states[i], False, tme, rng)
-                reduced.add(i)
-            elif cca_sample(False, rng, p_err):
+            if phase != HOLD and cca_sample(False, rng, p_err):
                 # phantom idle: transmit into the ongoing traffic; a joiner
                 # can turn a success into a collision, whose tail is shorter
                 txs.append((tme, i))
@@ -427,45 +429,58 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 codes, grown = _resolve(txs, flip_joins, data_us,
                                         sifs_ack_us, difs)
                 free_at = max(free_at, grown)
+                continue
+            moved.add(i)
+            if phase == HOLD:
+                _probe(states[i], False, tme, rng)
+                reduced.add(i)
             elif _probe(states[i], False, tme, rng) is ProbeAction.HOLD_PROBE:
                 schedule(tme + hold_us, HOLD, i)
 
-        # no transmitter's mode changes before its outcome is applied below
+        # rows in (start, station) order, each with the mode it was sent in
         for (start, i), code in zip(txs, codes):
-            col_station.append(i)
-            col_start.append(start)
-            col_end.append(start + data_us)
-            col_outcome.append(code)
-            col_mode.append(_LEGACY if states[i].phase == BACKOFF
-                            else _DETERMINISTIC)
-
-        for i, start, code in sorted((i, start, code) for (start, i), code
-                                     in zip(txs, codes)):
+            rows.extend((i, start, start + data_us, code,
+                         _LEGACY if states[i].phase == BACKOFF
+                         else _DETERMINISTIC))
+        # outcomes in station order, which `txs` is unless a station joined
+        # mid-air; each transmitter is filed as soon as its outcome is known
+        outcomes = zip(txs, codes)
+        if flip_joins:
+            outcomes = sorted(outcomes, key=lambda o: o[0][1])
+        for (start, i), code in outcomes:
             st = states[i]
             if code == _SUCCESS:
                 _succeed(st, start, cycle_us, rng)
             else:
                 _fail(st, start, cycle_us, rng)
-            if st.deadline is not None and st.deadline < free_at:
-                raise RuntimeError(f"station {i} scheduled its deadline "
-                                   f"{st.deadline} us before the release at "
-                                   f"{free_at} us")
+            if st.phase == DEADLINE:
+                if st.deadline < free_at:
+                    raise RuntimeError(f"station {i} scheduled its deadline "
+                                       f"{st.deadline} us before the release "
+                                       f"at {free_at} us")
+                schedule(st.deadline, DEADLINE, i)
+            else:
+                gkey[i] = key = banked + st.backoff.b
+                heapq.heappush(grid, (key, i))
 
         release = clock = free_at
         for i in moved:
             place(i)
 
         # a converged round robin repeats exactly; emit the rest in one go
-        if not p_err and all(st.phase == DEADLINE for st in states):
+        if converge and all(st.phase == DEADLINE for st in states):
             tail = _periodic_tail([(st.deadline, i)
                                    for i, st in enumerate(states)],
                                   cycle_us, data_us, data_us + sifs_ack_us,
                                   duration_us)
             if tail is not None:
-                columns = tuple(np.concatenate((np.asarray(c, t.dtype), t))
-                                for c, t in zip(columns, tail))
                 break
 
+    block = np.frombuffer(rows, np.int64).reshape(-1, 5)
+    columns = [block[:, k].astype(dt) for k, dt in enumerate(_COLUMN_DTYPES)]
+    if tail is not None:
+        columns = [np.concatenate((c, t)) for c, t in zip(columns, tail)]
+    del block, rows
     station, start, end, outcome, mode = columns
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=config.rate,
                      payload_bytes=config.payload_bytes,

@@ -60,10 +60,19 @@ class RandomSource:
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
+        self._bits = self._rng.getrandbits
 
     def next_uniform(self, lo: int, hi: int) -> int:
-        """Uniform integer in [lo, hi], both ends inclusive."""
-        return self._rng.randint(lo, hi)
+        """Uniform integer in [lo, hi], both ends inclusive: CPython's
+        `randint` rejection sampling done in place, so the same stream."""
+        w = hi - lo + 1
+        if w < 1:
+            raise ValueError(f"empty range [{lo}, {hi}]")
+        k = w.bit_length()
+        r = self._bits(k)
+        while r >= w:
+            r = self._bits(k)
+        return lo + r
 
     def chance(self, probability: float) -> bool:
         return self._rng.random() < probability
@@ -120,8 +129,8 @@ def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
 
 
 def _draw(backoff: BackoffState, rng: RandomSource) -> int:
-    # a fresh counter from the record's own window at its current stage
-    return draw_backoff(backoff.k, rng, backoff.cw_min, backoff.m)
+    # a fresh counter from the record's own window; the rules keep k in [0, m]
+    return rng.next_uniform(0, (backoff.cw_min << backoff.k) - 1)
 
 
 def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> StationState:

@@ -78,6 +78,10 @@ class TraceLog:
     mode: np.ndarray = ()
 
     def __post_init__(self) -> None:
+        # the metrics divide by the measured window
+        if not 0 <= self.warmup_us < self.duration_us:
+            raise ValueError(f"warmup_us {self.warmup_us} must lie in "
+                             f"[0, duration_us {self.duration_us})")
         # the station, outcome and mode columns are range-checked before
         # their casts
         station, outcome, mode = map(np.asarray, (self.station, self.outcome,

@@ -1,6 +1,7 @@
 """Engine tests: busy-period resolution, determinism, timing, and config checks."""
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from wlansim import engine
 from wlansim.engine import (
@@ -81,6 +82,16 @@ S, C, E = (OUTCOME_CODE[o] for o in
 ])
 def test_resolve(txs, flips, codes, release):
     assert engine._resolve(txs, flips, DATA, SIFS_ACK, DIFS) == (codes, release)
+
+
+@given(start=st.integers(0, 10 ** 9), i=st.integers(0, 49),
+       data_us=st.integers(1, 10 ** 4), sifs_ack_us=st.integers(1, 10 ** 3),
+       difs_us=st.integers(1, 10 ** 3))
+def test_resolve_of_one_frame_is_the_inlined_success(start, i, data_us,
+                                                     sifs_ack_us, difs_us):
+    # run_experiment resolves a one-frame busy period without _resolve
+    assert engine._resolve([(start, i)], set(), data_us, sifs_ack_us,
+                           difs_us) == ([S], start + data_us + sifs_ack_us)
 
 
 # -- single station -----------------------------------------------------------
@@ -301,6 +312,21 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
         if settled_at is not None \
                 and settled_at <= oracle.duration_us - 2 * oracle.cycle_us:
             assert any(fired), f"rate {rate} n {n} seed {seed}"
+
+
+@pytest.mark.parametrize("fire", [False, True])
+def test_trace_columns_are_owned_contiguous_and_final(monkeypatch, fire):
+    # with and without the closed-form tail appended to the loop's rows
+    fired = spy_on_tail(monkeypatch, fire)
+    trace, _ = run_experiment(config(protocol=ProtocolKind.CF_MAC,
+                                     duration_s=1.0, warmup_s=0.1, seed=1))
+    assert any(fired) is fire and len(trace.start)
+    for name, dtype in (("station", np.int32), ("start", np.int64),
+                        ("end", np.int64), ("outcome", np.int8),
+                        ("mode", np.int8)):
+        column = getattr(trace, name)
+        assert column.dtype == dtype, name
+        assert column.flags.c_contiguous and column.flags.owndata, name
 
 
 @pytest.mark.parametrize("rate,n", [(6, 1), (24, 2), (48, 12)])

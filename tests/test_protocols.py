@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,6 +28,28 @@ def test_random_source_repeats():
     b = RandomSource(42)
     assert [a.next_uniform(0, 1023) for _ in range(50)] == \
            [b.next_uniform(0, 1023) for _ in range(50)]
+
+
+# window widths up to 2**10; a power of two rejects about half its words
+WIDTHS = st.integers(1, 2 ** 10) | st.sampled_from([2 ** k for k in range(11)])
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 64), script=st.lists(st.tuples(
+    WIDTHS, st.integers(-1000, 1000) | st.just(0),
+    st.floats(0.0, 1.0)), max_size=30))
+def test_draws_are_the_stdlib_stream(seed, script):
+    # next_uniform and chance, interleaved, draw exactly what randint and
+    # random() draw from a random.Random of the same seed
+    rng, ref = RandomSource(seed), random.Random(seed)
+    for w, lo, p in script:
+        assert rng.next_uniform(lo, lo + w - 1) == ref.randint(lo, lo + w - 1)
+        assert rng.chance(p) is (ref.random() < p)
+
+
+def test_empty_window_rejected():
+    with pytest.raises(ValueError, match="empty range"):
+        RandomSource(1).next_uniform(3, 2)
 
 
 def test_draw_ranges():

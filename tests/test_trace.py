@@ -82,3 +82,19 @@ def test_constructor_rejects_unknown_codes(column, code, count):
     with pytest.raises(ValueError,
                        match=f"{column} {code} outside 0..{count - 1}"):
         TraceLog(n_stations=2, **PARAMS, **columns)
+
+
+@pytest.mark.parametrize("duration_us,warmup_us", [
+    (100, 100), (100, 250), (100, -1), (0, 0)])
+def test_window_must_leave_a_measured_span(duration_us, warmup_us):
+    # compute_report divides by duration_us - warmup_us
+    params = {**PARAMS, "duration_us": duration_us, "warmup_us": warmup_us}
+    with pytest.raises(ValueError, match="warmup_us"):
+        TraceLog(n_stations=2, **params)
+    with pytest.raises(ValueError, match="warmup_us"):
+        TraceLog.from_records([], n_stations=2, **params)
+
+
+def test_window_of_one_microsecond_is_accepted():
+    TraceLog.from_records([], n_stations=2, **{**PARAMS, "duration_us": 100,
+                                                "warmup_us": 99})
