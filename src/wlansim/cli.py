@@ -396,6 +396,8 @@ def _plan_from_args(args) -> ExperimentPlan:
 
 def _cmd_model(args) -> int:
     counts = _parse_ints("stations", args.stations)
+    if not counts:
+        raise ConfigError("stations: empty sweep axis")
     if any(n < 1 for n in counts):
         raise ConfigError(f"stations: counts must be at least 1, "
                           f"got {args.stations!r}")

@@ -28,22 +28,21 @@ busy period banks such stations one by one and they rejoin the grid. Both
 heaps drop superseded entries lazily, so one event costs O(log n).
 
 The loop repeatedly takes the earliest such instant, lets every station due
-at it start transmitting (simultaneous starts collide; ties across the
-grid, the deadlines and the off-grid stations are all due), and resolves the
-busy period that follows: data frames that overlap in time form one
-collision, a lone frame is a success and its ACK arrives SIFS after it
-ends. Every station sends the same payload at the same rate, so every data
-frame lasts the same airtime; one pass over a busy period's frames in start
-order (`_resolve`) then yields each outcome and the release instant, since a
-frame overlaps the group before it exactly when it starts less than one
-frame after the previous frame (a lone frame needs no pass). Outcomes are
-applied at the channel-release instant in station order, which the frames
-are in unless a station joined mid-air (only then are they sorted); the ACK
-timeout is folded into that release rather than modeled as a separate
-observable, which keeps every legacy station on one shared post-busy slot
-grid. Each attempt appends a row of five int64 (station, start, end,
-outcome, mode) to one array('q') buffer, split into the trace's columns at
-the end of the run.
+at it start transmitting (ties across the grid, the deadlines and the
+off-grid stations are all due), and resolves the busy period that follows:
+data frames that overlap in time form one collision, a lone frame is a
+success and its ACK arrives SIFS after it ends. Frames that start together
+need no classifier: one succeeds, more collide. Only after a station joins
+mid-air on a false-idle CCA sample (below) does one pass in start order
+(`_resolve`) classify them: all last the same airtime, so a frame overlaps
+the group before it exactly when it starts less than one frame after the
+previous one. Outcomes are applied at the channel-release instant in
+station order, and each attempt's row of five int64 (station, start, end,
+outcome, mode) goes to one array('q') buffer with its outcome; after a
+joiner, whose start order is not station order, the rows go first and the
+outcomes are sorted. The ACK timeout is folded into the release rather than
+modeled as a separate observable, which keeps every legacy station on one
+shared post-busy slot grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -210,9 +209,19 @@ def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
     return codes, release
 
 
+def _columns(head, extra: int = 0) -> list[np.ndarray]:
+    # the trace columns at their final length: the rows of `head` (five
+    # int64 each, in column order), then `extra` rows left to the caller
+    block = np.frombuffer(head, np.int64).reshape(-1, 5)
+    columns = [np.empty(len(block) + extra, dt) for dt in _COLUMN_DTYPES]
+    for column, values in zip(columns, block.T):
+        column[:len(block)] = values
+    return columns
+
+
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
-                   data_us: int, exchange_us: int, duration_us: int
-                   ) -> tuple[np.ndarray, ...] | None:
+                   data_us: int, exchange_us: int, duration_us: int,
+                   head=b"") -> list[np.ndarray] | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
     Called with the (deadline, station) pair of every station once all n
@@ -225,26 +234,31 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     and schedules itself one cycle after this start. The new deadlines have
     the same gaps rotated by one, so the condition holds again. Station i
     therefore transmits alone at d_i + k * cycle for every start before the
-    end of the run, and nothing else happens.
-
-    Returns those Deterministic-mode successes as the trace columns
-    (station, start, end, outcome, mode), in start order.
+    end of the run, and nothing else happens. Returns `_columns(head)` with
+    those Deterministic-mode successes after the loop's rows, in start order.
     """
     order = sorted(deadlines)
     first = np.array([d for d, _ in order], dtype=np.int64)
     if (np.diff(first, append=first[0] + cycle_us) < exchange_us).any():
         return None
-    cycles = len(range(order[0][0], duration_us, cycle_us))
-    # the deadlines lie within one cycle of the first, so the raveled grid
-    # ascends and the starts before the end of the run are a prefix of it
-    start = (first + cycle_us * np.arange(cycles)[:, None]).ravel()
-    rows = int(np.searchsorted(start, duration_us))
-    start = start[:rows]
-    station = np.tile(np.array([i for _, i in order], dtype=np.int32),
-                      cycles)[:rows]
-    return (station, start, start + data_us,
-            np.full(rows, _SUCCESS, dtype=np.int8),
-            np.full(rows, _DETERMINISTIC, dtype=np.int8))
+    # the deadlines lie within one cycle of the first, so every station
+    # starts in `cycles` full cycles and the first `part` once more
+    n = len(order)
+    cycles = len(range(order[-1][0], duration_us, cycle_us))
+    part = int(np.searchsorted(first, duration_us - cycles * cycle_us))
+    full = cycles * n
+    columns = _columns(head, full + part)
+    station, start, end, outcome, mode = (c[len(c) - full - part:]
+                                          for c in columns)
+    stations = np.array([i for _, i in order], dtype=np.int32)
+    np.add(first, cycle_us * np.arange(cycles, dtype=np.int64)[:, None],
+           out=start[:full].reshape(cycles, n))
+    np.add(first[:part], cycles * cycle_us, out=start[full:])
+    station[:full].reshape(cycles, n)[:] = stations
+    station[full:] = stations[:part]
+    np.add(start, data_us, out=end)
+    outcome[:], mode[:] = _SUCCESS, _DETERMINISTIC
+    return columns
 
 
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
@@ -280,6 +294,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
     rows = array("q")  # station, start, end, outcome, mode per attempt
+    put = rows.extend
+    heappop, heappush = heapq.heappop, heapq.heappush
+    # per-period scratch, cleared as a period starts: non-transmitters to
+    # file after it, flipped stations that hold, stations that join mid-air
+    moved, flip_holders, flip_joins = set(), [], set()
     tail = None
     converge = not p_err and config.protocol is ProtocolKind.CF_MAC
     clock = 0
@@ -287,33 +306,18 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     def schedule(at: int, phase: int, i: int) -> None:
         # make (at, phase, i) station i's one live entry on the timeline
         due[i] = entry = (at, phase, i)
-        heapq.heappush(timed, entry)
-
-    def place(i: int) -> None:
-        # file a non-transmitter whose phase or counter changed in a busy
-        # period (only an outcome sets DEADLINE); a hold that outlasted the
-        # period fires at the release instant
-        st = states[i]
-        if st.phase == HOLD:
-            schedule(release, HOLD, i)
-        else:
-            key = banked + st.backoff.b
-            if gkey[i] != key:
-                gkey[i] = key
-                heapq.heappush(grid, (key, i))
+        heappush(timed, entry)
 
     while True:
         # drop stale tops, then take the earliest fire instant
         while grid and gkey[grid[0][1]] != grid[0][0]:
-            heapq.heappop(grid)
+            heappop(grid)
         while timed and due[timed[0][2]] is not timed[0]:
-            heapq.heappop(timed)
-        t_next = duration_us
-        if grid:
-            grid_at = release + difs + (grid[0][0] - banked) * slot
-            t_next = min(t_next, grid_at)
-        if timed:
-            t_next = min(t_next, timed[0][0])
+            heappop(timed)
+        t_next = grid_at = (release + difs + (grid[0][0] - banked) * slot
+                            if grid else duration_us)
+        if timed and timed[0][0] < t_next:
+            t_next = timed[0][0]
         if t_next >= duration_us:
             break
         if t_next < clock:
@@ -325,18 +329,20 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         if grid and grid_at == t_next:
             key = grid[0][0]
             while grid and grid[0][0] == key:
-                i = heapq.heappop(grid)[1]
+                i = heappop(grid)[1]
                 if gkey[i] == key:
                     gkey[i] = None
                     winners.append(i)
         while timed and timed[0][0] == t_next:
-            entry = heapq.heappop(timed)
+            entry = heappop(timed)
             i = entry[2]
             if due[i] is entry:
                 due[i] = None
-                loose.pop(i, None)
+                if loose:
+                    loose.pop(i, None)
                 winners.append(i)
-        winners.sort()
+        if len(winners) > 1:
+            winners.sort()
         if reduced:
             reduced.difference_update(winners)
 
@@ -344,10 +350,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         # busy; flipped scheduled stations start a hold window, flipped
         # reduced-backoff stations take the busy finding as final and revert
         txs: list[tuple[int, int]] = []  # (start, station) of every frame
-        moved: set[int] = set()  # non-transmitters to file after the period
-        flip_holders: list[int] = []
+        moved.clear()
+        flip_holders.clear()
+        flip_joins.clear()
         for i in winners:
-            if states[i].phase in (DEADLINE, REDUCED) \
+            if p_err and states[i].phase in (DEADLINE, REDUCED) \
                     and not cca_sample(True, rng, p_err):
                 moved.add(i)
                 if _probe(states[i], False, t_next,
@@ -379,7 +386,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         if elapsed > 0:
             banked += elapsed
             while grid and gkey[grid[0][1]] != grid[0][0]:
-                heapq.heappop(grid)
+                heappop(grid)
             if grid and grid[0][0] - banked < 1:
                 raise RuntimeError(f"shared-grid backoff of station "
                                    f"{grid[0][1]} ran out unnoticed")
@@ -402,12 +409,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             moved.update(reduced)
             reduced.clear()
 
-        flip_joins: set[int] = set()
+        # every frame so far starts at t0: one succeeds, more collide
         if len(txs) == 1:
             codes, free_at = [_SUCCESS], t0 + data_us + sifs_ack_us
         else:
-            codes, free_at = _resolve(txs, flip_joins, data_us, sifs_ack_us,
-                                      difs)
+            codes, free_at = [_COLLISION] * len(txs), t0 + data_us + difs
 
         # deadline probes and hold ends inside the busy span, in time order
         # and at one instant probes first; false-idle samples join mid-air
@@ -416,7 +422,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         for i in flip_holders:
             schedule(t0 + hold_us, HOLD, i)
         while timed and timed[0][0] < free_at:
-            entry = heapq.heappop(timed)
+            entry = heappop(timed)
             tme, phase, i = entry
             if due[i] is not entry:
                 continue
@@ -437,18 +443,21 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             elif _probe(states[i], False, tme, rng) is ProbeAction.HOLD_PROBE:
                 schedule(tme + hold_us, HOLD, i)
 
-        # rows in (start, station) order, each with the mode it was sent in
-        for (start, i), code in zip(txs, codes):
-            rows.extend((i, start, start + data_us, code,
-                         _LEGACY if states[i].phase == BACKOFF
-                         else _DETERMINISTIC))
-        # outcomes in station order, which `txs` is unless a station joined
-        # mid-air; each transmitter is filed as soon as its outcome is known
+        # outcomes in station order, each row (with the mode its frame was
+        # sent in) written with its outcome; after a joiner `txs` is not in
+        # station order, so its rows go out first and the outcomes sorted
         outcomes = zip(txs, codes)
         if flip_joins:
-            outcomes = sorted(outcomes, key=lambda o: o[0][1])
+            outcomes = list(outcomes)
+            for (start, i), code in outcomes:
+                put((i, start, start + data_us, code,
+                     _LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC))
+            outcomes.sort(key=lambda o: o[0][1])
         for (start, i), code in outcomes:
             st = states[i]
+            if not flip_joins:
+                put((i, start, start + data_us, code,
+                     _LEGACY if st.phase == BACKOFF else _DETERMINISTIC))
             if code == _SUCCESS:
                 _succeed(st, start, cycle_us, rng)
             else:
@@ -461,27 +470,30 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 schedule(st.deadline, DEADLINE, i)
             else:
                 gkey[i] = key = banked + st.backoff.b
-                heapq.heappush(grid, (key, i))
+                heappush(grid, (key, i))
 
         release = clock = free_at
+        # file the non-transmitters that changed (only an outcome sets
+        # DEADLINE); a hold that outlasted the period fires at the release
         for i in moved:
-            place(i)
+            st = states[i]
+            if st.phase == HOLD:
+                schedule(release, HOLD, i)
+            elif gkey[i] != (key := banked + st.backoff.b):
+                gkey[i] = key
+                heappush(grid, (key, i))
 
         # a converged round robin repeats exactly; emit the rest in one go
         if converge and all(st.phase == DEADLINE for st in states):
             tail = _periodic_tail([(st.deadline, i)
                                    for i, st in enumerate(states)],
                                   cycle_us, data_us, data_us + sifs_ack_us,
-                                  duration_us)
+                                  duration_us, rows)
             if tail is not None:
                 break
 
-    block = np.frombuffer(rows, np.int64).reshape(-1, 5)
-    columns = [block[:, k].astype(dt) for k, dt in enumerate(_COLUMN_DTYPES)]
-    if tail is not None:
-        columns = [np.concatenate((c, t)) for c, t in zip(columns, tail)]
-    del block, rows
-    station, start, end, outcome, mode = columns
+    station, start, end, outcome, mode = tail or _columns(rows)
+    del rows, put
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=config.rate,
                      payload_bytes=config.payload_bytes,
                      duration_us=duration_us, warmup_us=config.warmup_us,

@@ -128,11 +128,6 @@ def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
     return rng.next_uniform(0, (cw_min << k) - 1)
 
 
-def _draw(backoff: BackoffState, rng: RandomSource) -> int:
-    # a fresh counter from the record's own window; the rules keep k in [0, m]
-    return rng.next_uniform(0, (backoff.cw_min << backoff.k) - 1)
-
-
 def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""
     return StationState(station=station, kind=kind,
@@ -145,7 +140,7 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.ret = state.consec_failures = state.busy_probes = 0
     state.deadline = None
     state.backoff.k = 0
-    state.backoff.b = _draw(state.backoff, rng)
+    state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
 
 
 def _succeed(state: StationState, tx_start_us: int, cycle_us: int,
@@ -153,7 +148,7 @@ def _succeed(state: StationState, tx_start_us: int, cycle_us: int,
     state.ret = 0
     state.backoff.k = 0
     if state.kind is ProtocolKind.CSMA_CA:
-        state.backoff.b = _draw(state.backoff, rng)
+        state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
     elif state.kind is ProtocolKind.CSMA_ECA:
         state.backoff.b = ECA_BACKOFF
     else:
@@ -175,13 +170,14 @@ def on_success(state: StationState, tx_start_us: int, n: int, rate: int,
 def _fail(state: StationState, tx_start_us: int | None, cycle_us: int | None,
           rng: RandomSource) -> StationState:
     if state.phase == BACKOFF:
+        backoff = state.backoff
         state.ret += 1
         if state.ret >= state.r_max:
             # retry budget exhausted: drop the packet, start fresh on the next one
-            state.ret = state.backoff.k = 0
+            state.ret = backoff.k = 0
         else:
-            state.backoff.k = min(state.backoff.k + 1, state.backoff.m)
-        state.backoff.b = _draw(state.backoff, rng)
+            backoff.k = min(backoff.k + 1, backoff.m)
+        backoff.b = rng.next_uniform(0, (backoff.cw_min << backoff.k) - 1)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)

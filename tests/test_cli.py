@@ -500,3 +500,13 @@ def test_model_rejects_counts_below_one(capsys, stations):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("stations", ["", ","])
+def test_model_rejects_an_empty_station_list(capsys, stations):
+    # the message `run` gives a plan whose station axis is empty, and no
+    # bare header on stdout
+    assert main(["model", "--stations", stations]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: stations: empty sweep axis\n"

@@ -84,14 +84,20 @@ def test_resolve(txs, flips, codes, release):
     assert engine._resolve(txs, flips, DATA, SIFS_ACK, DIFS) == (codes, release)
 
 
-@given(start=st.integers(0, 10 ** 9), i=st.integers(0, 49),
+@given(start=st.integers(0, 10 ** 9),
+       stations=st.lists(st.integers(0, 49), min_size=1, max_size=8,
+                         unique=True).map(sorted),
        data_us=st.integers(1, 10 ** 4), sifs_ack_us=st.integers(1, 10 ** 3),
        difs_us=st.integers(1, 10 ** 3))
-def test_resolve_of_one_frame_is_the_inlined_success(start, i, data_us,
+def test_resolve_of_one_frame_is_the_inlined_success(start, stations, data_us,
                                                      sifs_ack_us, difs_us):
-    # run_experiment resolves a one-frame busy period without _resolve
-    assert engine._resolve([(start, i)], set(), data_us, sifs_ack_us,
-                           difs_us) == ([S], start + data_us + sifs_ack_us)
+    # run_experiment resolves frames that all start at one instant without
+    # _resolve: one is a success, k >= 2 all collide
+    txs = [(start, i) for i in stations]
+    expected = (([S], start + data_us + sifs_ack_us) if len(txs) == 1
+                else ([C] * len(txs), start + data_us + difs_us))
+    assert engine._resolve(txs, set(), data_us, sifs_ack_us,
+                           difs_us) == expected
 
 
 # -- single station -----------------------------------------------------------
