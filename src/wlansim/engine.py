@@ -209,7 +209,7 @@ def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
     return codes, release
 
 
-def _columns(head, extra: int = 0) -> list[np.ndarray]:
+def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
     # the trace columns at their final length: the rows of `head` (five
     # int64 each, in column order), then `extra` rows left to the caller
     block = np.frombuffer(head, np.int64).reshape(-1, 5)
@@ -221,7 +221,7 @@ def _columns(head, extra: int = 0) -> list[np.ndarray]:
 
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
                    data_us: int, exchange_us: int, duration_us: int,
-                   head=b"") -> list[np.ndarray] | None:
+                   head: array | bytes = b"") -> list[np.ndarray] | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
     Called with the (deadline, station) pair of every station once all n
