@@ -108,8 +108,10 @@ def _parse_ints(key: str, value) -> list[int]:
 
 def _parse_float(key: str, value) -> float:
     try:
+        if isinstance(value, bool):  # float() reads JSON true/false as 1/0
+            raise TypeError(value)
         return float(value)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{key}: expected a number, got {value!r}") from None
 
 

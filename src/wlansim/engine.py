@@ -88,9 +88,9 @@ import numpy as np
 from .metrics import MetricsReport, compute_report
 from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, FrameSpec, ack_airtime,
                   data_airtime, phy_profile)
-from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProbeAction,
-                        ProtocolKind, RandomSource, _count_down, _fail,
-                        _probe, _succeed, initial_station)
+from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProtocolKind,
+                        RandomSource, count_down, fail, initial_station,
+                        probe_busy, succeed)
 from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
 from .trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
@@ -357,8 +357,8 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             if p_err and states[i].phase in (DEADLINE, REDUCED) \
                     and not cca_sample(True, rng, p_err):
                 moved.add(i)
-                if _probe(states[i], False, t_next,
-                          rng) is ProbeAction.HOLD_PROBE:
+                probe_busy(states[i], t_next, rng)
+                if states[i].phase == HOLD:
                     flip_holders.append(i)
             else:
                 txs.append((t_next, i))
@@ -369,7 +369,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             # against a channel that never clears in their eyes and arm the
             # fallback counted from the end of the hold instead
             for i in flip_holders:
-                _probe(states[i], False, t_next + hold_us, rng)
+                probe_busy(states[i], t_next + hold_us, rng)
             reduced.update(flip_holders)
             for i in winners:
                 anchor = t_next + hold_us if i in flip_holders else t_next
@@ -397,7 +397,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                     if states[i].backoff.b - elapsed < 1:
                         raise RuntimeError(f"backoff of off-grid station {i} "
                                            f"ran out unnoticed")
-                    _count_down(states[i], elapsed)
+                    count_down(states[i], elapsed)
                 due[i] = None
             moved.update(loose)
             loose.clear()
@@ -405,7 +405,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             # a new transmission interrupted the reduced countdowns: that is
             # the second busy finding, those stations abandon their claims
             for i in sorted(reduced):
-                _probe(states[i], False, t0, rng)
+                probe_busy(states[i], t0, rng)
             moved.update(reduced)
             reduced.clear()
 
@@ -437,10 +437,10 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 free_at = max(free_at, grown)
                 continue
             moved.add(i)
+            probe_busy(states[i], tme, rng)
             if phase == HOLD:
-                _probe(states[i], False, tme, rng)
                 reduced.add(i)
-            elif _probe(states[i], False, tme, rng) is ProbeAction.HOLD_PROBE:
+            elif states[i].phase == HOLD:
                 schedule(tme + hold_us, HOLD, i)
 
         # outcomes in station order, each row (with the mode its frame was
@@ -459,9 +459,9 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 put((i, start, start + data_us, code,
                      _LEGACY if st.phase == BACKOFF else _DETERMINISTIC))
             if code == _SUCCESS:
-                _succeed(st, start, cycle_us, rng)
+                succeed(st, start, cycle_us, rng)
             else:
-                _fail(st, start, cycle_us, rng)
+                fail(st, start, cycle_us, rng)
             if st.phase == DEADLINE:
                 if st.deadline < free_at:
                     raise RuntimeError(f"station {i} scheduled its deadline "

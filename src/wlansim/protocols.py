@@ -9,18 +9,17 @@ finding per spell (two-slot hold, then a reduced random backoff); a second
 busy finding, like a second consecutive collision, drops the station back to
 plain CSMA/CA.
 
-Each transition rule is written once: it updates the mutable StationState
-the engine keeps per station in place and returns it. The public functions
-apply the same rule to a copy of their input. Times are integer microseconds
-throughout.
+Each transition rule is written once and is public: `succeed`, `fail`,
+`count_down` and `probe_busy` update the mutable StationState the engine
+keeps per station in place and return None, so the engine and the tests run
+the same functions. After `probe_busy` the record's phase tells which case
+happened. Times are integer microseconds throughout.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
 from enum import Enum
-
-from .schedule import ScheduleTable, DEFAULT_TABLE, cycle_timer
 
 CW_MIN = 16              # minimum contention window size (draws span [0, CW_MIN - 1])
 MAX_BACKOFF_STAGE = 6    # k never grows past this
@@ -48,11 +47,9 @@ class Mode(Enum):
     DETERMINISTIC = "deterministic"
 
 
-class ProbeAction(Enum):
-    TRANSMIT_NOW = "transmit_now"
-    HOLD_PROBE = "hold_probe"
-    REDUCED_BACKOFF = "reduced_backoff"
-    REVERT_LEGACY = "revert_legacy"
+# bound once: a module name is cheaper to read than an Enum class attribute
+_CSMA_CA = ProtocolKind.CSMA_CA
+_CSMA_ECA = ProtocolKind.CSMA_ECA
 
 
 class RandomSource:
@@ -104,34 +101,10 @@ class StationState:
         return Mode.LEGACY if self.phase == BACKOFF else Mode.DETERMINISTIC
 
 
-@dataclass(frozen=True)
-class ProbeDecision:
-    action: ProbeAction
-    slots: int | None
-    state: StationState
-
-
-def _copied(state: StationState) -> StationState:
-    """A copy of the record that shares no mutable part with it."""
-    b = state.backoff
-    return StationState(state.station, state.kind,
-                        BackoffState(b.k, b.b, b.cw_min, b.m), state.ret,
-                        state.r_max, state.consec_failures,
-                        state.busy_probes, state.deadline, state.phase)
-
-
-def draw_backoff(k: int, rng: RandomSource, cw_min: int = CW_MIN,
-                 m: int = MAX_BACKOFF_STAGE) -> int:
-    """Uniform draw from the stage-k contention window [0, 2^k * cw_min - 1]."""
-    if not 0 <= k <= m:
-        raise ValueError(f"backoff stage out of range: {k}")
-    return rng.next_uniform(0, (cw_min << k) - 1)
-
-
 def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""
-    return StationState(station=station, kind=kind,
-                        backoff=BackoffState(k=0, b=draw_backoff(0, rng)))
+    return StationState(station=station, kind=kind, backoff=BackoffState(
+        k=0, b=rng.next_uniform(0, CW_MIN - 1)))
 
 
 def _revert(state: StationState, rng: RandomSource) -> None:
@@ -143,13 +116,14 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
 
 
-def _succeed(state: StationState, tx_start_us: int, cycle_us: int,
-             rng: RandomSource) -> StationState:
+def succeed(state: StationState, tx_start_us: int, cycle_us: int,
+            rng: RandomSource) -> None:
+    """ACK received for the transmission that started at tx_start_us."""
     state.ret = 0
     state.backoff.k = 0
-    if state.kind is ProtocolKind.CSMA_CA:
+    if state.kind is _CSMA_CA:
         state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
-    elif state.kind is ProtocolKind.CSMA_ECA:
+    elif state.kind is _CSMA_ECA:
         state.backoff.b = ECA_BACKOFF
     else:
         # CF-MAC: leave the slotted contention, next attempt one cycle on
@@ -157,18 +131,16 @@ def _succeed(state: StationState, tx_start_us: int, cycle_us: int,
         state.phase = DEADLINE
         state.consec_failures = state.busy_probes = 0
         state.deadline = tx_start_us + cycle_us
-    return state
 
 
-def on_success(state: StationState, tx_start_us: int, n: int, rate: int,
-               rng: RandomSource, table: ScheduleTable = DEFAULT_TABLE) -> StationState:
-    """ACK received for the transmission that started at tx_start_us."""
-    return _succeed(_copied(state), tx_start_us, cycle_timer(n, rate, table),
-                    rng)
+def fail(state: StationState, tx_start_us: int, cycle_us: int,
+         rng: RandomSource) -> None:
+    """ACK timeout elapsed for the transmission that started at tx_start_us.
 
-
-def _fail(state: StationState, tx_start_us: int | None, cycle_us: int | None,
-          rng: RandomSource) -> StationState:
+    Legacy mode doubles the window up to stage m and drops the packet after
+    r_max retries; Deterministic mode keeps its slot one cycle on after a
+    first collision and reverts to legacy contention on a second.
+    """
     if state.phase == BACKOFF:
         backoff = state.backoff
         state.ret += 1
@@ -181,69 +153,38 @@ def _fail(state: StationState, tx_start_us: int | None, cycle_us: int | None,
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)
-    elif tx_start_us is None or cycle_us is None:
-        raise ValueError("deterministic failure needs tx_start_us, n and rate "
-                         "to schedule the next attempt")
     else:
         state.consec_failures += 1
         state.phase = DEADLINE
         state.deadline = tx_start_us + cycle_us
-    return state
 
 
-def on_failure(state: StationState, rng: RandomSource, tx_start_us: int | None = None,
-               n: int | None = None, rate: int | None = None,
-               table: ScheduleTable = DEFAULT_TABLE) -> StationState:
-    """ACK timeout elapsed for the station's last transmission."""
-    cycle_us = None if n is None or rate is None else cycle_timer(n, rate, table)
-    return _fail(_copied(state), tx_start_us, cycle_us, rng)
-
-
-def _count_down(state: StationState, slots: int) -> StationState:
-    # `slots` idle slots observed in legacy mode, floored at zero
+def count_down(state: StationState, slots: int) -> None:
+    """`slots` idle slots observed in legacy mode, floored at zero."""
     if state.phase != BACKOFF:
         raise ValueError("slot countdown only runs in legacy mode")
     state.backoff.b = max(state.backoff.b - slots, 0)
-    return state
 
 
-def legacy_tick(state: StationState, slot_idle: bool) -> StationState:
-    """One observed slot: decrement on idle, freeze on busy, floor at zero."""
-    return _count_down(_copied(state), 1 if slot_idle else 0)
+def probe_busy(state: StationState, now_us: int, rng: RandomSource) -> None:
+    """A Deterministic-mode station finds the channel busy at a probe.
 
-
-def _probe(state: StationState, channel_idle: bool, now_us: int,
-           rng: RandomSource) -> ProbeAction:
+    Checkpoints are the deadline instant, the end of the two-slot hold window,
+    and the reduced-backoff fire instant. A busy deadline starts the hold
+    (phase HOLD); a busy finding after it arms the reduced backoff of
+    `backoff.b` slots (phase REDUCED); any further busy finding before a
+    success reverts the station to legacy contention (phase BACKOFF).
+    """
     if state.phase == BACKOFF or state.deadline is None:
         raise ValueError("probe is only defined in deterministic mode")
     if now_us < state.deadline:
         raise ValueError("probe fired before the scheduled deadline")
-    if channel_idle:
-        return ProbeAction.TRANSMIT_NOW
     if state.busy_probes >= BUSY_LIMIT - 1:
         _revert(state, rng)
-        return ProbeAction.REVERT_LEGACY
-    if now_us == state.deadline:
+    elif now_us == state.deadline:
         state.phase = HOLD
-        return ProbeAction.HOLD_PROBE
-    # k is 0 throughout Deterministic mode, so the draw fits the window
-    state.busy_probes += 1
-    state.phase = REDUCED
-    state.backoff.b = rng.next_uniform(0, REDUCED_WINDOW - 1)
-    return ProbeAction.REDUCED_BACKOFF
-
-
-def cfmac_probe(state: StationState, channel_idle: bool, now_us: int,
-                rng: RandomSource) -> ProbeDecision:
-    """Decide what a Deterministic-mode station does at a probe checkpoint.
-
-    Checkpoints are the deadline instant, the end of the two-slot hold window,
-    and the reduced-backoff fire instant; `channel_idle` is the state the
-    station observed there. One failed hold window arms the reduced backoff;
-    any further busy finding before a success reverts the station to legacy
-    contention.
-    """
-    state = _copied(state)
-    action = _probe(state, channel_idle, now_us, rng)
-    slots = state.backoff.b if action is ProbeAction.REDUCED_BACKOFF else None
-    return ProbeDecision(action, slots, state)
+    else:
+        # k is 0 throughout Deterministic mode, so the draw fits the window
+        state.busy_probes += 1
+        state.phase = REDUCED
+        state.backoff.b = rng.next_uniform(0, REDUCED_WINDOW - 1)

@@ -17,15 +17,17 @@ from wlansim.engine import SimConfig, frame_exchange_us, run_experiment
 from wlansim.metrics import MetricsReport
 from wlansim.phy import MAC_OVERHEAD_BYTES, FrameSpec, data_airtime, phy_profile
 from wlansim.protocols import (
+    BACKOFF,
+    HOLD,
+    REDUCED,
     Mode,
-    ProbeAction,
     ProtocolKind,
     RandomSource,
-    cfmac_probe,
+    count_down,
+    fail,
     initial_station,
-    legacy_tick,
-    on_failure,
-    on_success,
+    probe_busy,
+    succeed,
 )
 from wlansim.schedule import cycle_timer
 from wlansim.trace import Outcome
@@ -291,41 +293,43 @@ def _check_state(st):
         assert st.deadline is None
 
 
-def _fuzz_step(state, rng):
+def _fuzz_step(state, rng, cycle_us):
+    # one transition of the rules the engine runs, applied in place
     tx = rng.next_uniform(0, 10 ** 6)
     if state.mode is Mode.LEGACY:
         op = rng.next_uniform(0, 3)
         if op == 0:
-            return legacy_tick(state, True)
-        if op == 1:
-            return legacy_tick(state, False)
-        if op == 2:
-            return on_success(state, tx, N, 48, rng)
-        return on_failure(state, rng, tx_start_us=tx, n=N, rate=48)
+            count_down(state, 1)
+        elif op == 1:
+            count_down(state, rng.next_uniform(2, 32))  # slots banked at once
+        elif op == 2:
+            succeed(state, tx, cycle_us, rng)
+        else:
+            fail(state, tx, cycle_us, rng)
+        return
     op = rng.next_uniform(0, 2)
     if op == 0:
-        return on_success(state, tx, N, 48, rng)
-    if op == 1:
-        return on_failure(state, rng, tx_start_us=tx, n=N, rate=48)
-    decision = cfmac_probe(state, rng.chance(0.5),
-                           state.deadline + rng.next_uniform(0, 40), rng)
-    if decision.action is ProbeAction.REDUCED_BACKOFF:
-        assert 0 <= decision.slots <= 6
+        succeed(state, tx, cycle_us, rng)
+    elif op == 1:
+        fail(state, tx, cycle_us, rng)
     else:
-        assert decision.slots is None
-    return decision.state
+        probe_busy(state, state.deadline + rng.next_uniform(0, 40), rng)
+        assert state.phase in (HOLD, REDUCED, BACKOFF)
+        if state.phase == REDUCED:
+            assert 0 <= state.backoff.b <= 6
 
 
 def test_criterion_9_state_machine_fuzz():
     sequences = 100_000
     transitions = 0
+    cycle_us = cycle_timer(N, 48)
     for offset, kind in enumerate(ProtocolKind):
         rng = RandomSource(1000 + offset)
         for _ in range(sequences):
             state = initial_station(0, kind, rng)
             _check_state(state)
             for _ in range(rng.next_uniform(1, 6)):
-                state = _fuzz_step(state, rng)
+                _fuzz_step(state, rng, cycle_us)
                 _check_state(state)
                 transitions += 1
     print(f"criterion 9 (PASS): {3 * sequences} sequences, "

@@ -125,6 +125,23 @@ def test_json_section_that_is_a_list_rejected(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("value", [True, False, 10 ** 400],
+                         ids=["true", "false", "too-large"])
+@pytest.mark.parametrize("key", ["duration", "warmup", "cca_error"])
+def test_json_number_key_rejects_non_numbers(tmp_path, capsys, key, value):
+    # float() reads true/false as 1.0/0.0 and overflows on a huge integer;
+    # the rest of the plan is a short valid run, so a misread value runs
+    plan = {"protocols": "CfMac", "rates": 48, "stations": 2, "seeds": 1,
+            "duration": 0.05, "warmup": 0.01, key: value}
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"experiment": plan}))
+    assert main(["run", "--config", str(path),
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {key}: expected a number, got {value!r}\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("text", [
     json.dumps({"experiment": {"stations": 3}})[:-3],  # truncated
     "[" * 100_000,  # nested past the decoder's recursion limit

@@ -1,16 +1,16 @@
-import copy
 import dataclasses
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlansim.protocols import (BACKOFF, BackoffState, CW_MIN, ECA_BACKOFF,
-                               MAX_BACKOFF_STAGE, Mode, ProbeAction,
-                               ProtocolKind, RandomSource, cfmac_probe,
-                               draw_backoff, initial_station, legacy_tick,
-                               on_failure, on_success)
+from wlansim.protocols import (BACKOFF, HOLD, REDUCED, BackoffState, CW_MIN,
+                               ECA_BACKOFF, MAX_BACKOFF_STAGE, MAX_RETRIES,
+                               Mode, ProtocolKind, RandomSource, count_down,
+                               fail, initial_station, probe_busy, succeed)
 from wlansim.schedule import cycle_timer
+
+CYCLE = cycle_timer(12, 6)
 
 
 def fresh(kind, seed=1):
@@ -19,7 +19,7 @@ def fresh(kind, seed=1):
 
 def deterministic(seed=1, **overrides):
     st_ = fresh(ProtocolKind.CF_MAC, seed)
-    st_ = on_success(st_, 10_000, 12, 6, RandomSource(seed))
+    succeed(st_, 10_000, CYCLE, RandomSource(seed))
     return dataclasses.replace(st_, **overrides) if overrides else st_
 
 
@@ -53,20 +53,24 @@ def test_empty_window_rejected():
 
 
 def test_draw_ranges():
+    # a failure draws from its new stage's window: stage 0 after a dropped
+    # packet, up to [0, 2^6 * CW_MIN - 1] at the top stage
     rng = RandomSource(7)
-    draws0 = [draw_backoff(0, rng) for _ in range(200)]
+    draws0, draws6 = [], []
+    for _ in range(200):
+        dropped = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
+                                      ret=MAX_RETRIES - 1)
+        fail(dropped, 0, CYCLE, rng)
+        assert dropped.backoff.k == 0
+        draws0.append(dropped.backoff.b)
+        top = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
+                                  backoff=BackoffState(k=5))
+        fail(top, 0, CYCLE, rng)
+        assert top.backoff.k == MAX_BACKOFF_STAGE
+        draws6.append(top.backoff.b)
     assert all(0 <= b <= 15 for b in draws0)
-    draws6 = [draw_backoff(6, rng) for _ in range(200)]
     assert all(0 <= b <= 1023 for b in draws6)
     assert max(draws6) > 15  # the window really widened
-
-
-def test_draw_stage_bounds():
-    rng = RandomSource(7)
-    with pytest.raises(ValueError):
-        draw_backoff(-1, rng)
-    with pytest.raises(ValueError):
-        draw_backoff(7, rng)
 
 
 def test_initial_station():
@@ -80,69 +84,71 @@ def test_on_success_csma_ca():
     rng = RandomSource(3)
     st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
                               backoff=BackoffState(k=6, b=900), ret=4)
-    out = on_success(st_, 5000, 2, 6, rng)
-    assert out.ret == 0
-    assert out.backoff.k == 0 and 0 <= out.backoff.b <= 15
-    assert out.mode is Mode.LEGACY
+    succeed(st_, 5000, CYCLE, rng)
+    assert st_.ret == 0
+    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
+    assert st_.mode is Mode.LEGACY
 
 
 def test_on_success_csma_eca():
-    out = on_success(fresh(ProtocolKind.CSMA_ECA), 5000, 2, 6, RandomSource(3))
-    assert out.backoff.k == 0 and out.backoff.b == ECA_BACKOFF == 7
+    st_ = fresh(ProtocolKind.CSMA_ECA)
+    succeed(st_, 5000, CYCLE, RandomSource(3))
+    assert st_.backoff.k == 0 and st_.backoff.b == ECA_BACKOFF == 7
 
 
 def test_on_success_cfmac():
-    out = on_success(fresh(ProtocolKind.CF_MAC), 10_000, 12, 6, RandomSource(3))
-    assert out.mode is Mode.DETERMINISTIC
-    assert out.deadline == 10_000 + cycle_timer(12, 6) == 37_900
-    assert out.consec_failures == 0 and out.busy_probes == 0
+    st_ = fresh(ProtocolKind.CF_MAC)
+    succeed(st_, 10_000, CYCLE, RandomSource(3))
+    assert st_.mode is Mode.DETERMINISTIC
+    assert st_.deadline == 10_000 + cycle_timer(12, 6) == 37_900
+    assert st_.consec_failures == 0 and st_.busy_probes == 0
 
 
 def test_success_clears_deterministic_counters():
     st_ = deterministic(consec_failures=1, busy_probes=1)
-    out = on_success(st_, 50_000, 12, 6, RandomSource(9))
-    assert out.consec_failures == 0 and out.busy_probes == 0
-    assert out.deadline == 50_000 + cycle_timer(12, 6)
+    succeed(st_, 50_000, CYCLE, RandomSource(9))
+    assert st_.consec_failures == 0 and st_.busy_probes == 0
+    assert st_.deadline == 50_000 + cycle_timer(12, 6)
 
 
 def test_on_failure_legacy_backoff_growth():
     rng = RandomSource(5)
     st_ = fresh(ProtocolKind.CSMA_CA)
     for expected_k in (1, 2, 3, 4, 5):
-        st_ = on_failure(st_, rng)
+        fail(st_, 0, CYCLE, rng)
         assert st_.backoff.k == expected_k
         assert 0 <= st_.backoff.b <= (CW_MIN << expected_k) - 1
     # stage clamps at m even as retries continue
     st_ = dataclasses.replace(st_, backoff=BackoffState(k=6, b=3), ret=2)
-    out = on_failure(st_, rng)
-    assert out.backoff.k == MAX_BACKOFF_STAGE == 6
+    fail(st_, 0, CYCLE, rng)
+    assert st_.backoff.k == MAX_BACKOFF_STAGE == 6
 
 
 def test_on_failure_discards_at_retry_limit():
     rng = RandomSource(5)
     st_ = fresh(ProtocolKind.CSMA_CA)
     for _ in range(5):
-        st_ = on_failure(st_, rng)
+        fail(st_, 0, CYCLE, rng)
     assert st_.ret == 5
-    out = on_failure(st_, rng)  # sixth failed retransmission: drop the packet
-    assert out.ret == 0
-    assert out.backoff.k == 0 and 0 <= out.backoff.b <= 15
+    fail(st_, 0, CYCLE, rng)  # sixth failed retransmission: drop the packet
+    assert st_.ret == 0
+    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
 
 
 def test_on_failure_deterministic_stickiness():
     st_ = deterministic()
-    out = on_failure(st_, RandomSource(2), tx_start_us=40_000, n=12, rate=6)
-    assert out.mode is Mode.DETERMINISTIC
-    assert out.consec_failures == 1
-    assert out.deadline == 40_000 + cycle_timer(12, 6)
+    fail(st_, 40_000, CYCLE, RandomSource(2))
+    assert st_.mode is Mode.DETERMINISTIC
+    assert st_.consec_failures == 1
+    assert st_.deadline == 40_000 + cycle_timer(12, 6)
 
 
 def test_on_failure_second_collision_reverts():
     st_ = deterministic(consec_failures=1)
-    out = on_failure(st_, RandomSource(2), tx_start_us=40_000, n=12, rate=6)
-    assert out.mode is Mode.LEGACY
-    assert out.backoff.k == 0 and 0 <= out.backoff.b <= 15
-    assert out.deadline is None and out.consec_failures == 0
+    fail(st_, 40_000, CYCLE, RandomSource(2))
+    assert st_.mode is Mode.LEGACY
+    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
+    assert st_.deadline is None and st_.consec_failures == 0
 
 
 class WindowLog(RandomSource):
@@ -160,64 +166,59 @@ class WindowLog(RandomSource):
 def test_transitions_draw_from_the_records_own_window():
     rng = WindowLog()
     wide = BackoffState(cw_min=64, m=8)
-    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA), backoff=wide,
-                              r_max=10)
+    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
+                              backoff=dataclasses.replace(wide), r_max=10)
     for _ in range(8):  # past the default top stage of 6, up to m = 8
-        st_ = on_failure(st_, rng)
+        fail(st_, 0, CYCLE, rng)
     assert st_.backoff.k == 8
-    on_success(st_, 5000, 2, 6, rng)
+    succeed(st_, 5000, CYCLE, rng)
     # deterministic records revert to legacy on a second collision and on
     # a second busy probe, with a fresh stage-0 draw
-    on_failure(deterministic(consec_failures=1,
-                             backoff=dataclasses.replace(wide)),
-               rng, tx_start_us=40_000, n=12, rate=6)
+    fail(deterministic(consec_failures=1, backoff=dataclasses.replace(wide)),
+         40_000, CYCLE, rng)
     det = deterministic(busy_probes=1, backoff=dataclasses.replace(wide))
-    cfmac_probe(det, False, det.deadline + 100, rng)
+    probe_busy(det, det.deadline + 100, rng)
     assert rng.windows == ([(0, (64 << k) - 1) for k in range(1, 9)]
                            + [(0, 63)] * 3)
-
-
-def test_deterministic_failure_needs_schedule_args():
-    with pytest.raises(ValueError):
-        on_failure(deterministic(), RandomSource(2))
 
 
 def test_legacy_tick():
     st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
                               backoff=BackoffState(k=0, b=3))
-    assert legacy_tick(st_, slot_idle=True).backoff.b == 2
-    assert legacy_tick(st_, slot_idle=False).backoff.b == 3
-    floor = dataclasses.replace(st_, backoff=BackoffState(k=0, b=0))
-    assert legacy_tick(floor, slot_idle=True).backoff.b == 0
+    count_down(st_, 1)
+    assert st_.backoff.b == 2
+    count_down(st_, 0)  # a busy slot freezes the counter
+    assert st_.backoff.b == 2
+    count_down(st_, 5)
+    assert st_.backoff.b == 0  # floored at zero
     with pytest.raises(ValueError):
-        legacy_tick(deterministic(), slot_idle=True)
+        count_down(deterministic(), 1)
 
 
 def test_probe_actions():
+    # the phase after each busy probe tells what happened
     det = deterministic()
     at = det.deadline
     rng = RandomSource(4)
-    assert cfmac_probe(det, True, at, rng).action is ProbeAction.TRANSMIT_NOW
-    assert cfmac_probe(det, False, at, rng).action is ProbeAction.HOLD_PROBE
-    reduced = cfmac_probe(det, False, at + 18, rng)
-    assert reduced.action is ProbeAction.REDUCED_BACKOFF
-    assert 0 <= reduced.slots <= 6
-    assert reduced.slots == reduced.state.backoff.b
-    assert reduced.state.busy_probes == 1
-    reverted = cfmac_probe(reduced.state, False, at + 100, rng)
-    assert reverted.action is ProbeAction.REVERT_LEGACY
-    assert reverted.state.mode is Mode.LEGACY
-    assert reverted.state.backoff.k == 0
-    assert reverted.state.deadline is None
+    probe_busy(det, at, rng)  # busy deadline: hold
+    assert det.phase == HOLD and det.backoff.b == 0
+    probe_busy(det, at + 18, rng)  # busy hold end: reduced backoff
+    assert det.phase == REDUCED
+    assert 0 <= det.backoff.b <= 6
+    assert det.busy_probes == 1
+    probe_busy(det, at + 100, rng)  # second busy finding: revert
+    assert det.phase == BACKOFF and det.mode is Mode.LEGACY
+    assert det.backoff.k == 0 and 0 <= det.backoff.b <= 15
+    assert det.deadline is None
 
 
 def test_probe_preconditions():
     rng = RandomSource(4)
     with pytest.raises(ValueError):
-        cfmac_probe(fresh(ProtocolKind.CF_MAC), True, 100, rng)
+        probe_busy(fresh(ProtocolKind.CF_MAC), 100, rng)
     det = deterministic()
     with pytest.raises(ValueError):
-        cfmac_probe(det, True, det.deadline - 1, rng)
+        probe_busy(det, det.deadline - 1, rng)
 
 
 def test_ca_and_eca_failures_agree():
@@ -226,24 +227,22 @@ def test_ca_and_eca_failures_agree():
     ca = fresh(ProtocolKind.CSMA_CA, seed=11)
     eca = dataclasses.replace(fresh(ProtocolKind.CSMA_ECA, seed=11), station=0)
     for _ in range(10):
-        ca = on_failure(ca, rng_a)
-        eca = on_failure(eca, rng_b)
+        fail(ca, 0, CYCLE, rng_a)
+        fail(eca, 0, CYCLE, rng_b)
         assert ca.backoff == eca.backoff
         assert ca.ret == eca.ret
 
 
-def public_step(state, op, rng):
-    """Apply the public transition that op picks, where it is defined."""
-    if op == 0 and state.mode is Mode.LEGACY:
-        return legacy_tick(state, rng.chance(0.5))
-    if op == 1:
-        return on_success(state, 1000, 12, 6, rng)
-    if op == 2:
-        return on_failure(state, rng, tx_start_us=2000, n=12, rate=6)
-    if op == 3 and state.mode is Mode.DETERMINISTIC:
-        return cfmac_probe(state, rng.chance(0.5),
-                           state.deadline + rng.next_uniform(0, 50), rng).state
-    return state
+def step(state, op, rng):
+    """Apply the transition that op picks, where it is defined."""
+    if op == 0 and state.phase == BACKOFF:
+        count_down(state, rng.next_uniform(1, 3))
+    elif op == 1:
+        succeed(state, 1000, CYCLE, rng)
+    elif op == 2:
+        fail(state, 2000, CYCLE, rng)
+    elif op == 3 and state.phase != BACKOFF:
+        probe_busy(state, state.deadline + rng.next_uniform(0, 50), rng)
 
 
 SEEDS = st.integers(min_value=0, max_value=2**32 - 1)
@@ -257,7 +256,7 @@ def test_transition_sequences_hold_invariants(seed, script):
     rng = RandomSource(seed)
     state = initial_station(0, ProtocolKind.CF_MAC, rng)
     for op in script:
-        state = public_step(state, op, rng)
+        step(state, op, rng)
         assert 0 <= state.backoff.k <= MAX_BACKOFF_STAGE
         assert 0 <= state.backoff.b <= (CW_MIN << state.backoff.k) - 1
         assert 0 <= state.ret <= state.r_max
@@ -267,19 +266,3 @@ def test_transition_sequences_hold_invariants(seed, script):
             assert state.deadline is not None
         else:
             assert state.deadline is None
-
-
-@settings(max_examples=200, deadline=None)
-@given(SEEDS, SCRIPTS, st.sampled_from(ProtocolKind))
-def test_public_transitions_leave_their_input_unchanged(seed, script, kind):
-    # the rules update a record in place; the public functions must apply
-    # them to a copy that shares no mutable part with their input
-    rng = RandomSource(seed)
-    state = initial_station(0, kind, rng)
-    for op in script:
-        before = copy.deepcopy(state)
-        after = public_step(state, op, rng)
-        assert state == before
-        if after is not state:
-            assert after.backoff is not state.backoff
-        state = after
