@@ -276,7 +276,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     cycle_us = cycle_timer(n, config.rate, config.schedule)
 
     rng = RandomSource(config.seed)
-    states = [initial_station(i, config.protocol, rng) for i in range(n)]
+    states = [initial_station(config.protocol, rng) for _ in range(n)]
     # virtual idle-slot clock: a station on the shared grid with key K fires
     # at release + DIFS + (K - banked) slots
     release = 0  # [us] instant the channel last went idle

@@ -4,7 +4,8 @@ Per-station throughput counts a success toward the window its transmission
 started in. Inter-arrival times are start-to-start gaps between a station's
 consecutive transmission attempts (collisions included: retries are part of
 the access delay being measured). Loss is the fraction of attempts that went
-unacknowledged.
+unacknowledged. `compute_report` is the one pass over a trace that computes
+them; each figure is a field of the MetricsReport it returns.
 """
 from __future__ import annotations
 
@@ -57,15 +58,6 @@ class MetricsReport:
         }
 
 
-def _default_window(trace: TraceLog, window: tuple[int, int] | None) -> tuple[int, int]:
-    if window is None:
-        return trace.warmup_us, trace.duration_us
-    lo, hi = window
-    if hi <= lo:
-        raise ValueError("window must have positive length")
-    return lo, hi
-
-
 def jfi(values: list[float]) -> float:
     """Jain's fairness index: (sum x)^2 / (n * sum x^2), in (0, 1]."""
     if not values:
@@ -90,30 +82,6 @@ def loss_fraction(failures: int, successes: int) -> float:
     return failures / attempts
 
 
-def _in_window(trace: TraceLog, lo: int, hi: int
-               ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Station, start and outcome columns of the attempts started in [lo, hi)."""
-    inside = (trace.start >= lo) & (trace.start < hi)
-    return trace.station[inside], trace.start[inside], trace.outcome[inside]
-
-
-def _tallies(n: int, station: np.ndarray,
-             outcome: np.ndarray) -> tuple[list[int], list[int]]:
-    """Successes and attempts per station."""
-    wins = np.bincount(station[outcome == _SUCCESS], minlength=n)
-    return wins.tolist(), np.bincount(station, minlength=n).tolist()
-
-
-def _throughput(wins: list[int], payload: int, lo: int, hi: int) -> list[float]:
-    # bits per microsecond is numerically Mb/s
-    return [c * payload * 8 / (hi - lo) for c in wins]
-
-
-def _losses(wins: list[int], attempts: list[int]) -> list[float | None]:
-    return [None if a == 0 else loss_fraction(a - w, w)
-            for w, a in zip(wins, attempts)]
-
-
 def _gap_stats(n: int, station: np.ndarray,
                start: np.ndarray) -> dict[int, IatStats | None]:
     # a stable sort by station keeps each station's attempts in trace order
@@ -130,23 +98,6 @@ def _gap_stats(n: int, station: np.ndarray,
     return out
 
 
-def throughput_per_station(trace: TraceLog,
-                           window: tuple[int, int] | None = None) -> list[float]:
-    """Delivered payload rate per station over the window, in Mb/s."""
-    lo, hi = _default_window(trace, window)
-    station, _, outcome = _in_window(trace, lo, hi)
-    return _throughput(_tallies(trace.n_stations, station, outcome)[0],
-                       trace.payload_bytes, lo, hi)
-
-
-def interarrival_stats(trace: TraceLog,
-                       window: tuple[int, int] | None = None) -> dict[int, IatStats | None]:
-    """Start-to-start gap statistics per station; None below two attempts."""
-    lo, hi = _default_window(trace, window)
-    station, start, _ = _in_window(trace, lo, hi)
-    return _gap_stats(trace.n_stations, station, start)
-
-
 def normalized_interarrival(stats: dict[int, IatStats | None],
                             reference_mean_us: float) -> dict[int, float | None]:
     """Per-station mean gaps as a multiple of a reference mean gap."""
@@ -154,13 +105,6 @@ def normalized_interarrival(stats: dict[int, IatStats | None],
         raise ValueError("reference mean must be positive")
     return {i: None if s is None else s.mean / reference_mean_us
             for i, s in stats.items()}
-
-
-def per_station_loss(trace: TraceLog,
-                     window: tuple[int, int] | None = None) -> list[float | None]:
-    lo, hi = _default_window(trace, window)
-    station, _, outcome = _in_window(trace, lo, hi)
-    return _losses(*_tallies(trace.n_stations, station, outcome))
 
 
 def convergence_time(trace: TraceLog) -> int | None:
@@ -203,10 +147,19 @@ def steady_state_start(trace: TraceLog) -> int | None:
 
 
 def compute_report(trace: TraceLog, window: tuple[int, int] | None = None) -> MetricsReport:
-    lo, hi = _default_window(trace, window)
-    station, start, outcome = _in_window(trace, lo, hi)
-    wins, attempts = _tallies(trace.n_stations, station, outcome)
-    throughput = _throughput(wins, trace.payload_bytes, lo, hi)
+    """Every metric of the attempts started in `window`, by default the
+    measured span [warmup_us, duration_us)."""
+    lo, hi = (trace.warmup_us, trace.duration_us) if window is None else window
+    if hi <= lo:
+        raise ValueError("window must have positive length")
+    inside = (trace.start >= lo) & (trace.start < hi)
+    station = trace.station[inside]
+    n = trace.n_stations
+    wins = np.bincount(station[trace.outcome[inside] == _SUCCESS],
+                       minlength=n).tolist()
+    attempts = np.bincount(station, minlength=n).tolist()
+    # bits per microsecond is numerically Mb/s
+    throughput = [c * trace.payload_bytes * 8 / (hi - lo) for c in wins]
     try:
         fairness = jfi(throughput)
         ratio = min_max_ratio(throughput)
@@ -222,8 +175,9 @@ def compute_report(trace: TraceLog, window: tuple[int, int] | None = None) -> Me
         aggregate_throughput=float(sum(throughput)),
         jfi=fairness,
         min_max_ratio=ratio,
-        interarrival=_gap_stats(trace.n_stations, station, start),
-        per_station_loss=_losses(wins, attempts),
+        interarrival=_gap_stats(n, station, trace.start[inside]),
+        per_station_loss=[None if a == 0 else loss_fraction(a - w, w)
+                          for w, a in zip(wins, attempts)],
         aggregate_loss=aggregate_loss,
         convergence_us=convergence_time(trace),
     )

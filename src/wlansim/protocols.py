@@ -79,17 +79,13 @@ class RandomSource:
 class BackoffState:
     k: int = 0            # current backoff stage
     b: int = 0            # remaining backoff slots
-    cw_min: int = CW_MIN
-    m: int = MAX_BACKOFF_STAGE
 
 
 @dataclass(slots=True)
 class StationState:
-    station: int
     kind: ProtocolKind
     backoff: BackoffState
     ret: int = 0
-    r_max: int = MAX_RETRIES
     consec_failures: int = 0
     busy_probes: int = 0
     deadline: int | None = None  # absolute [us], set only in Deterministic mode
@@ -101,9 +97,9 @@ class StationState:
         return Mode.LEGACY if self.phase == BACKOFF else Mode.DETERMINISTIC
 
 
-def initial_station(station: int, kind: ProtocolKind, rng: RandomSource) -> StationState:
+def initial_station(kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""
-    return StationState(station=station, kind=kind, backoff=BackoffState(
+    return StationState(kind=kind, backoff=BackoffState(
         k=0, b=rng.next_uniform(0, CW_MIN - 1)))
 
 
@@ -113,7 +109,7 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.ret = state.consec_failures = state.busy_probes = 0
     state.deadline = None
     state.backoff.k = 0
-    state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
+    state.backoff.b = rng.next_uniform(0, CW_MIN - 1)
 
 
 def succeed(state: StationState, tx_start_us: int, cycle_us: int,
@@ -122,7 +118,7 @@ def succeed(state: StationState, tx_start_us: int, cycle_us: int,
     state.ret = 0
     state.backoff.k = 0
     if state.kind is _CSMA_CA:
-        state.backoff.b = rng.next_uniform(0, state.backoff.cw_min - 1)
+        state.backoff.b = rng.next_uniform(0, CW_MIN - 1)
     elif state.kind is _CSMA_ECA:
         state.backoff.b = ECA_BACKOFF
     else:
@@ -137,19 +133,20 @@ def fail(state: StationState, tx_start_us: int, cycle_us: int,
          rng: RandomSource) -> None:
     """ACK timeout elapsed for the transmission that started at tx_start_us.
 
-    Legacy mode doubles the window up to stage m and drops the packet after
-    r_max retries; Deterministic mode keeps its slot one cycle on after a
-    first collision and reverts to legacy contention on a second.
+    Legacy mode doubles the window up to MAX_BACKOFF_STAGE and drops the
+    packet after MAX_RETRIES retries; Deterministic mode keeps its slot one
+    cycle on after a first collision and reverts to legacy contention on a
+    second.
     """
     if state.phase == BACKOFF:
         backoff = state.backoff
         state.ret += 1
-        if state.ret >= state.r_max:
+        if state.ret >= MAX_RETRIES:
             # retry budget exhausted: drop the packet, start fresh on the next one
             state.ret = backoff.k = 0
         else:
-            backoff.k = min(backoff.k + 1, backoff.m)
-        backoff.b = rng.next_uniform(0, (backoff.cw_min << backoff.k) - 1)
+            backoff.k = min(backoff.k + 1, MAX_BACKOFF_STAGE)
+        backoff.b = rng.next_uniform(0, (CW_MIN << backoff.k) - 1)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)

@@ -4,7 +4,8 @@ The trace is held as five parallel numpy columns, from the engine that
 fills them through the metrics to the CSV file: int64 `start` and `end`
 (microseconds), int32 `station`, and int8 `outcome` and `mode` codes, which
 index OUTCOMES and MODES. Row k of every column describes one attempt;
-rows are in (start, station) order.
+rows are in (start, station) order. `TraceLog.read_csv` reads back what
+`TraceLog.write_csv` wrote.
 
 `TraceLog.write_csv` formats the rows in numpy, with no Python object per
 row. A chunk of rows is laid out as a (rows, quads) array of little-endian
@@ -106,20 +107,26 @@ class TraceLog:
         self.mode = mode.astype(np.int8, copy=False)
 
     @classmethod
-    def from_records(cls, records, *, n_stations: int, **params) -> TraceLog:
-        """A trace of these records, in the order given; `params` are the
-        remaining fields (protocol, rate and so on)."""
-        records = list(records)
-        return cls(n_stations=n_stations, **params,
-                   station=[r.station for r in records],
-                   start=[r.start for r in records],
-                   end=[r.end for r in records],
-                   outcome=[OUTCOME_CODE[r.outcome] for r in records],
-                   mode=[MODE_CODE[r.mode] for r in records])
+    def read_csv(cls, path: str | Path, **params) -> TraceLog:
+        """The trace `write_csv` wrote to `path`; `params` are the remaining
+        fields (protocol, n_stations, rate and so on)."""
+        with open(path, newline="") as fh:
+            reader = csv.reader(fh)
+            header = tuple(next(reader, ()))
+            if header != TRACE_COLUMNS:
+                raise ValueError(f"trace header {header} is not "
+                                 f"{TRACE_COLUMNS}")
+            rows = [(int(i), int(s), int(e), OUTCOME_CODE[Outcome(o)],
+                     MODE_CODE[Mode(m)]) for i, s, e, o, m in reader]
+        return cls(**params, **dict(zip(
+            ("station", "start", "end", "outcome", "mode"),
+            zip(*rows) if rows else ((),) * 5)))
 
     @property
     def records(self) -> list[TransmissionRecord]:
-        """The rows as TransmissionRecord objects, built on each access."""
+        """The rows as TransmissionRecord objects, built on each access: a
+        read-only per-row view, since changing the list leaves the columns
+        as they are."""
         return [TransmissionRecord(i, s, e, OUTCOMES[o], MODES[m])
                 for i, s, e, o, m in zip(
                     self.station.tolist(), self.start.tolist(),
@@ -192,11 +199,3 @@ def _put_int(out: np.ndarray, x: np.ndarray, sep: bytes) -> None:
             kind += (above == 0) * 10000
         out[:, col] = _digit_quads().take(digits.astype(np.intp) + kind)
 
-
-def read_trace_csv(path: str | Path) -> list[TransmissionRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        return [TransmissionRecord(station=int(row["station"]), start=int(row["start_us"]),
-                                   end=int(row["end_us"]), outcome=Outcome(row["outcome"]),
-                                   mode=Mode(row["mode"]))
-                for row in reader]

@@ -18,7 +18,10 @@ from wlansim.metrics import MetricsReport
 from wlansim.phy import MAC_OVERHEAD_BYTES, FrameSpec, data_airtime, phy_profile
 from wlansim.protocols import (
     BACKOFF,
+    CW_MIN,
     HOLD,
+    MAX_BACKOFF_STAGE,
+    MAX_RETRIES,
     REDUCED,
     Mode,
     ProtocolKind,
@@ -30,7 +33,7 @@ from wlansim.protocols import (
     succeed,
 )
 from wlansim.schedule import cycle_timer
-from wlansim.trace import Outcome
+from wlansim.trace import MODE_CODE, OUTCOME_CODE, Outcome
 
 N = 12
 RATES = (6, 11, 12, 24, 48)
@@ -43,6 +46,8 @@ CA = ProtocolKind.CSMA_CA.value
 PAYLOAD_BYTES = SimConfig(n_stations=N, protocol=ProtocolKind.CSMA_CA,
                           rate=RATES[0]).payload_bytes
 _WORKERS = max(1, min(8, os.cpu_count() or 1))
+_SUCCESS = OUTCOME_CODE[Outcome.SUCCESS]
+_DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 
 
 @dataclass(frozen=True)
@@ -57,11 +62,9 @@ def _matrix_cell(key):
         n_stations=N, protocol=ProtocolKind(proto), rate=rate,
         duration_s=MATRIX_DURATION_S, seed=seed, warmup_s=WARMUP_S))
     conv = report.convergence_us
-    bad = conv is None
-    if not bad:
-        bad = any(r.mode is Mode.DETERMINISTIC
-                  and r.outcome is not Outcome.SUCCESS
-                  and r.end > conv for r in trace.records)
+    bad = conv is None or bool(((trace.mode == _DETERMINISTIC)
+                                & (trace.outcome != _SUCCESS)
+                                & (trace.end > conv)).any())
     return key, Cell(report=report, det_disturbance=bad)
 
 
@@ -281,9 +284,9 @@ def test_criterion_8_byte_identical_replay(tmp_path):
 
 
 def _check_state(st):
-    assert 0 <= st.backoff.k <= st.backoff.m
-    assert 0 <= st.backoff.b < (st.backoff.cw_min << st.backoff.k)
-    assert 0 <= st.ret < st.r_max
+    assert 0 <= st.backoff.k <= MAX_BACKOFF_STAGE
+    assert 0 <= st.backoff.b < (CW_MIN << st.backoff.k)
+    assert 0 <= st.ret < MAX_RETRIES
     assert st.consec_failures in (0, 1)
     assert st.busy_probes in (0, 1)
     if st.mode is Mode.DETERMINISTIC:
@@ -326,7 +329,7 @@ def test_criterion_9_state_machine_fuzz():
     for offset, kind in enumerate(ProtocolKind):
         rng = RandomSource(1000 + offset)
         for _ in range(sequences):
-            state = initial_station(0, kind, rng)
+            state = initial_station(kind, rng)
             _check_state(state)
             for _ in range(rng.next_uniform(1, 6)):
                 _fuzz_step(state, rng, cycle_us)

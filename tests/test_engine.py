@@ -14,8 +14,12 @@ from wlansim.metrics import steady_state_start
 from wlansim.phy import FrameSpec, UnsupportedRateError, data_airtime, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable
-from wlansim.trace import (MODES, OUTCOME_CODE, OUTCOMES, Outcome, TraceLog,
-                           read_trace_csv)
+from wlansim.trace import (MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES, Outcome,
+                           TraceLog)
+
+COLUMNS = ("station", "start", "end", "outcome", "mode")
+S, C, E = (OUTCOME_CODE[o] for o in
+           (Outcome.SUCCESS, Outcome.COLLISION, Outcome.CCA_ERROR))
 
 
 def config(**kw):
@@ -25,26 +29,30 @@ def config(**kw):
     return SimConfig(**base)
 
 
+def assert_same_trace(a, b):
+    for name in COLUMNS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+
+
 def assert_wellformed(trace):
     airtime = data_airtime(FrameSpec(trace.payload_bytes + 38, trace.rate))
-    for r in trace.records:
-        assert 0 <= r.start < trace.duration_us
-        assert r.end - r.start == airtime
-    # successful transmissions never overlap anything else on the channel
-    ordered = sorted(trace.records, key=lambda r: (r.start, r.station))
-    for i, a in enumerate(ordered):
-        for b in ordered[i + 1:]:
-            if b.start >= a.end:
-                break
-            assert a.outcome is not Outcome.SUCCESS
-            assert b.outcome is not Outcome.SUCCESS
+    assert ((0 <= trace.start) & (trace.start < trace.duration_us)).all()
+    assert (trace.end - trace.start == airtime).all()
+    # rows are in (start, station) order
+    order = np.lexsort((trace.station, trace.start))
+    assert np.array_equal(order, np.arange(len(order)))
+    # successful transmissions never overlap anything else on the channel;
+    # every frame lasts `airtime`, so a frame that overlaps a later one
+    # overlaps the next one
+    overlap = trace.start[1:] < trace.end[:-1]
+    success = trace.outcome == S
+    assert not (overlap & (success[:-1] | success[1:])).any()
 
 
 # -- busy-period resolution ---------------------------------------------------
 
 DATA, SIFS_ACK, DIFS = 500, 60, 30
-S, C, E = (OUTCOME_CODE[o] for o in
-           (Outcome.SUCCESS, Outcome.COLLISION, Outcome.CCA_ERROR))
 
 
 @pytest.mark.parametrize("txs, flips, codes, release", [
@@ -106,8 +114,8 @@ def test_resolve_of_one_frame_is_the_inlined_success(start, stations, data_us,
 def test_single_station_never_collides(protocol):
     trace, report = run_experiment(config(n_stations=1, protocol=protocol,
                                           duration_s=0.2, warmup_s=0.02))
-    assert trace.records, "station never transmitted"
-    assert all(r.outcome is Outcome.SUCCESS for r in trace.records)
+    assert len(trace.start), "station never transmitted"
+    assert (trace.outcome == S).all()
     assert report.aggregate_loss == 0.0
     assert_wellformed(trace)
 
@@ -126,7 +134,7 @@ def test_same_seed_reproduces_the_run(tmp_path):
     trace_a, report_a = run_experiment(cfg)
     trace_b, report_b = run_experiment(config(n_stations=5, rate=12, seed=23,
                                               protocol=ProtocolKind.CF_MAC))
-    assert trace_a.records == trace_b.records
+    assert_same_trace(trace_a, trace_b)
     assert report_a == report_b
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     trace_a.write_csv(a)
@@ -137,7 +145,8 @@ def test_same_seed_reproduces_the_run(tmp_path):
 def test_different_seeds_diverge():
     t1, _ = run_experiment(config(seed=1, duration_s=0.1, warmup_s=0.01))
     t2, _ = run_experiment(config(seed=2, duration_s=0.1, warmup_s=0.01))
-    assert t1.records != t2.records
+    assert not all(np.array_equal(getattr(t1, name), getattr(t2, name))
+                   for name in COLUMNS)
 
 
 # -- timing -------------------------------------------------------------------
@@ -149,7 +158,7 @@ def test_first_transmission_lands_on_the_slot_grid(rate, seed):
     b = [draws.next_uniform(0, 15) for _ in range(2)]
     trace, _ = run_experiment(config(rate=rate, seed=seed, duration_s=0.05,
                                      warmup_s=0.0))
-    assert trace.records[0].start == profile.difs + min(b) * profile.slot
+    assert trace.start[0] == profile.difs + min(b) * profile.slot
 
 
 def test_deterministic_cadence_is_exact():
@@ -168,16 +177,22 @@ def test_deterministic_cadence_is_exact():
     # later (a station's first success happens in legacy mode)
     settled_at = steady_state_start(trace)
     assert settled_at is not None and settled_at >= report.convergence_us
-    settled = [r for r in trace.records if r.start >= settled_at]
-    assert settled
-    assert all(r.mode is Mode.DETERMINISTIC for r in settled)
-    assert all(r.outcome is Outcome.SUCCESS for r in settled)
+    settled = trace.start >= settled_at
+    assert settled.any()
+    assert (trace.mode[settled] == MODE_CODE[Mode.DETERMINISTIC]).all()
+    assert (trace.outcome[settled] == S).all()
 
 
 def test_tallies_and_overlap_invariants_under_contention():
     trace, _ = run_experiment(config(n_stations=6, rate=12, seed=13))
-    assert any(r.outcome is Outcome.COLLISION for r in trace.records)
+    assert (trace.outcome == C).any()
     assert_wellformed(trace)
+
+
+def params_of(trace):
+    return {k: getattr(trace, k) for k in (
+        "protocol", "n_stations", "rate", "payload_bytes", "duration_us",
+        "warmup_us", "seed", "cycle_us")}
 
 
 def test_trace_csv_round_trip(tmp_path):
@@ -185,7 +200,7 @@ def test_trace_csv_round_trip(tmp_path):
                                      warmup_s=0.01, seed=4))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
-    assert read_trace_csv(path) == trace.records
+    assert_same_trace(TraceLog.read_csv(path, **params_of(trace)), trace)
 
 
 def test_trace_survives_read_and_rebuild_byte_for_byte(tmp_path):
@@ -193,22 +208,20 @@ def test_trace_survives_read_and_rebuild_byte_for_byte(tmp_path):
     trace, _ = run_experiment(config(n_stations=4, protocol=ProtocolKind.CF_MAC,
                                      cca_error_prob=0.5, duration_s=0.2,
                                      warmup_s=0.02, seed=11))
+    assert set(trace.outcome.tolist()) == set(range(len(OUTCOMES)))
+    assert set(trace.mode.tolist()) == set(range(len(MODES)))
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     trace.write_csv(first)
-    records = read_trace_csv(first)
-    assert {r.outcome for r in records} == set(Outcome)
-    assert {r.mode for r in records} == set(Mode)
-    params = {k: getattr(trace, k) for k in (
-        "protocol", "n_stations", "rate", "payload_bytes", "duration_us",
-        "warmup_us", "seed", "cycle_us")}
-    TraceLog.from_records(records, **params).write_csv(second)
+    back = TraceLog.read_csv(first, **params_of(trace))
+    assert_same_trace(back, trace)
+    back.write_csv(second)
     assert second.read_bytes() == first.read_bytes()
 
 
 def test_run_shorter_than_one_attempt_leaves_an_empty_trace(tmp_path):
     # nobody can transmit before DIFS has passed
     trace, report = run_experiment(config(duration_s=1e-5, warmup_s=0.0))
-    assert len(trace.start) == 0 and trace.records == []
+    assert len(trace.start) == 0
     assert report.per_station_throughput == [0.0, 0.0]
     assert report.interarrival == {0: None, 1: None}
     assert report.per_station_loss == [None, None]
@@ -313,7 +326,7 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
         with monkeypatch.context() as m:
             fired = spy_on_tail(m)
             fast, _ = run_experiment(cfg)
-        assert fast.records == oracle.records
+        assert_same_trace(fast, oracle)
         settled_at = steady_state_start(oracle)
         if settled_at is not None \
                 and settled_at <= oracle.duration_us - 2 * oracle.cycle_us:
@@ -341,7 +354,7 @@ def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
     trace, _ = run_experiment(config(n_stations=n, protocol=ProtocolKind.CF_MAC,
                                      rate=rate, cca_error_prob=0.05,
                                      duration_s=1.0, warmup_s=0.1, seed=1))
-    assert trace.records
+    assert len(trace.start)
     assert not any(fired)
 
 
@@ -374,7 +387,7 @@ def test_noisy_sensing_run_stays_wellformed():
                                           duration_s=0.2, warmup_s=0.02,
                                           seed=11))
     assert_wellformed(trace)
-    assert (trace.outcome == OUTCOME_CODE[Outcome.SUCCESS]).sum() > 0
+    assert (trace.outcome == S).sum() > 0
 
 
 def test_certain_flips_still_make_progress():
@@ -383,8 +396,8 @@ def test_certain_flips_still_make_progress():
     trace, _ = run_experiment(config(n_stations=1, protocol=ProtocolKind.CF_MAC,
                                      cca_error_prob=1.0, duration_s=0.1,
                                      warmup_s=0.01, seed=2))
-    assert len(trace.records) > 5
-    assert all(r.outcome is Outcome.SUCCESS for r in trace.records)
+    assert len(trace.start) > 5
+    assert (trace.outcome == S).all()
     assert_wellformed(trace)
 
 
@@ -394,7 +407,7 @@ def test_legacy_sensing_ignores_the_noise_knob():
     quiet, _ = run_experiment(config(seed=3, duration_s=0.1, warmup_s=0.01))
     noisy, _ = run_experiment(config(seed=3, duration_s=0.1, warmup_s=0.01,
                                      cca_error_prob=1.0))
-    assert quiet.records == noisy.records
+    assert_same_trace(quiet, noisy)
 
 
 # -- model agreement (loose) --------------------------------------------------

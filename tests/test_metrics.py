@@ -8,32 +8,34 @@ from wlansim.metrics import (
     IatStats,
     compute_report,
     convergence_time,
-    interarrival_stats,
     jfi,
     loss_fraction,
     min_max_ratio,
     normalized_interarrival,
-    per_station_loss,
     steady_state_start,
-    throughput_per_station,
 )
 from wlansim.protocols import Mode, ProtocolKind
-from wlansim.trace import Outcome, TraceLog, TransmissionRecord
+from wlansim.trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
 
 def rec(station, start, outcome=Outcome.SUCCESS, mode=Mode.DETERMINISTIC, airtime=272):
-    return TransmissionRecord(station=station, start=start, end=start + airtime,
-                              outcome=outcome, mode=mode)
+    """One trace row: (station, start, end, outcome code, mode code)."""
+    return (station, start, start + airtime, OUTCOME_CODE[outcome],
+            MODE_CODE[mode])
 
 
-def trace_of(records, protocol=ProtocolKind.CF_MAC, n_stations=None,
+def trace_of(rows, protocol=ProtocolKind.CF_MAC, n_stations=None,
              duration_us=1_000_000, warmup_us=0, payload=1470):
     if n_stations is None:
-        n_stations = max((r.station for r in records), default=0) + 1
-    return TraceLog.from_records(
-        sorted(records, key=lambda r: (r.start, r.station)), protocol=protocol,
-        n_stations=n_stations, rate=48, payload_bytes=payload,
-        duration_us=duration_us, warmup_us=warmup_us, seed=1, cycle_us=6300)
+        n_stations = max((r[0] for r in rows), default=0) + 1
+    # trace rows are in (start, station) order
+    rows = sorted(rows, key=lambda r: (r[1], r[0]))
+    return TraceLog(
+        protocol=protocol, n_stations=n_stations, rate=48,
+        payload_bytes=payload, duration_us=duration_us, warmup_us=warmup_us,
+        seed=1, cycle_us=6300, **dict(zip(
+            ("station", "start", "end", "outcome", "mode"),
+            zip(*rows) if rows else ((),) * 5)))
 
 
 # -- throughput ---------------------------------------------------------------
@@ -41,13 +43,13 @@ def trace_of(records, protocol=ProtocolKind.CF_MAC, n_stations=None,
 def test_throughput_thousand_frames_in_a_second():
     # 1000 * 1470 B * 8 over 1 s is 11.76 Mb/s.
     t = trace_of([rec(0, i * 1000) for i in range(1000)])
-    assert throughput_per_station(t) == [pytest.approx(11.76)]
+    assert compute_report(t).per_station_throughput == [pytest.approx(11.76)]
 
 
 def test_throughput_counts_starts_inside_window_only():
     t = trace_of([rec(0, 99), rec(0, 100), rec(0, 500), rec(0, 1000)],
                  duration_us=2000)
-    got = throughput_per_station(t, window=(100, 1000))
+    got = compute_report(t, window=(100, 1000)).per_station_throughput
     # only the starts at 100 and 500 land in [100, 1000)
     assert got == [pytest.approx(2 * 1470 * 8 / 900)]
 
@@ -55,18 +57,20 @@ def test_throughput_counts_starts_inside_window_only():
 def test_throughput_ignores_collisions():
     t = trace_of([rec(0, 0), rec(0, 1000, outcome=Outcome.COLLISION),
                   rec(0, 2000, outcome=Outcome.CCA_ERROR)], duration_us=10_000)
-    assert throughput_per_station(t) == [pytest.approx(1470 * 8 / 10_000)]
+    assert compute_report(t).per_station_throughput == [
+        pytest.approx(1470 * 8 / 10_000)]
 
 
 def test_throughput_respects_warmup_default_window():
     t = trace_of([rec(0, 10), rec(0, 600)], duration_us=1000, warmup_us=500)
-    assert throughput_per_station(t) == [pytest.approx(1470 * 8 / 500)]
+    assert compute_report(t).per_station_throughput == [
+        pytest.approx(1470 * 8 / 500)]
 
 
 def test_bad_window_rejected():
     t = trace_of([rec(0, 0)])
     with pytest.raises(ValueError):
-        throughput_per_station(t, window=(100, 100))
+        compute_report(t, window=(100, 100))
 
 
 # -- fairness -----------------------------------------------------------------
@@ -114,13 +118,13 @@ def test_jfi_scale_invariant_and_bounded(xs, alpha):
 
 def test_interarrival_even_cadence():
     t = trace_of([rec(0, 0), rec(0, 100), rec(0, 200)], duration_us=1000)
-    stats = interarrival_stats(t)[0]
+    stats = compute_report(t).interarrival[0]
     assert stats == IatStats(mean=100.0, std=0.0, min=100.0, max=100.0)
 
 
 def test_interarrival_uneven_gaps():
     t = trace_of([rec(0, 0), rec(0, 50), rec(0, 250)], duration_us=1000)
-    stats = interarrival_stats(t)[0]
+    stats = compute_report(t).interarrival[0]
     # gaps 50 and 200: population std
     assert stats == IatStats(mean=125.0, std=75.0, min=50.0, max=200.0)
 
@@ -128,13 +132,13 @@ def test_interarrival_uneven_gaps():
 def test_interarrival_counts_failed_attempts_too():
     t = trace_of([rec(0, 0), rec(0, 300, outcome=Outcome.COLLISION), rec(0, 400)],
                  duration_us=1000)
-    stats = interarrival_stats(t)[0]
+    stats = compute_report(t).interarrival[0]
     assert (stats.min, stats.max) == (100.0, 300.0)
 
 
 def test_interarrival_needs_two_attempts():
     t = trace_of([rec(0, 0), rec(1, 100)], duration_us=1000)
-    got = interarrival_stats(t)
+    got = compute_report(t).interarrival
     assert got[0] is None and got[1] is None
 
 
@@ -158,7 +162,8 @@ def test_per_station_loss():
     t = trace_of([rec(0, 0), rec(0, 100, outcome=Outcome.COLLISION),
                   rec(1, 200), rec(1, 300), rec(1, 400)],
                  n_stations=3, duration_us=1000)
-    assert per_station_loss(t) == [pytest.approx(0.5), pytest.approx(0.0), None]
+    assert compute_report(t).per_station_loss == [pytest.approx(0.5),
+                                                  pytest.approx(0.0), None]
 
 
 # -- convergence --------------------------------------------------------------
@@ -225,11 +230,11 @@ def test_steady_state_start():
 
 def test_compute_report_round_numbers():
     # two stations alternating on a fixed 200 us grid, one early collision
-    records = [rec(0, 0, outcome=Outcome.COLLISION, mode=Mode.LEGACY),
-               rec(1, 0, outcome=Outcome.COLLISION, mode=Mode.LEGACY)]
-    records += [rec(0, 1000 + i * 200) for i in range(10)]
-    records += [rec(1, 1100 + i * 200) for i in range(10)]
-    t = trace_of(records, duration_us=4000)
+    rows = [rec(0, 0, outcome=Outcome.COLLISION, mode=Mode.LEGACY),
+            rec(1, 0, outcome=Outcome.COLLISION, mode=Mode.LEGACY)]
+    rows += [rec(0, 1000 + i * 200) for i in range(10)]
+    rows += [rec(1, 1100 + i * 200) for i in range(10)]
+    t = trace_of(rows, duration_us=4000)
     rep = compute_report(t)
     assert rep.window == (0, 4000)
     assert rep.per_station_throughput == [pytest.approx(10 * 1470 * 8 / 4000)] * 2
@@ -267,7 +272,7 @@ def test_zero_record_trace(tmp_path):
     assert rep.per_station_loss == [None, None]
     assert rep.convergence_us == 0  # nothing ever collided
     assert steady_state_start(t) is None
-    assert t.records == []
+    assert len(t.start) == 0
     t.write_csv(tmp_path / "t.csv")
     assert (tmp_path / "t.csv").read_bytes() == \
         b"station,start_us,end_us,outcome,mode\r\n"
@@ -283,10 +288,10 @@ def test_hand_built_trace_rejects_unknown_stations():
 def test_station_that_never_transmits(silent):
     # the others keep a 100 us cadence with one collision each; the silent
     # station's empty group must not shift its neighbours' statistics
-    records = [rec(i, 10 * i + 100 * k,
-                   outcome=Outcome.COLLISION if k == 2 else Outcome.SUCCESS)
-               for i in range(4) if i != silent for k in range(5)]
-    rep = compute_report(trace_of(records, n_stations=4, duration_us=1000))
+    rows = [rec(i, 10 * i + 100 * k,
+                outcome=Outcome.COLLISION if k == 2 else Outcome.SUCCESS)
+            for i in range(4) if i != silent for k in range(5)]
+    rep = compute_report(trace_of(rows, n_stations=4, duration_us=1000))
     for i in range(4):
         if i == silent:
             assert rep.per_station_throughput[i] == 0.0

@@ -14,7 +14,7 @@ CYCLE = cycle_timer(12, 6)
 
 
 def fresh(kind, seed=1):
-    return initial_station(0, kind, RandomSource(seed))
+    return initial_station(kind, RandomSource(seed))
 
 
 def deterministic(seed=1, **overrides):
@@ -163,23 +163,22 @@ class WindowLog(RandomSource):
         return lo
 
 
-def test_transitions_draw_from_the_records_own_window():
+def test_transitions_draw_from_the_module_windows():
     rng = WindowLog()
-    wide = BackoffState(cw_min=64, m=8)
-    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                              backoff=dataclasses.replace(wide), r_max=10)
-    for _ in range(8):  # past the default top stage of 6, up to m = 8
+    st_ = fresh(ProtocolKind.CSMA_CA)
+    for _ in range(MAX_BACKOFF_STAGE + 1):  # one failure past the top stage
+        st_.ret = 0  # keep the packet: no retry-limit drop in between
         fail(st_, 0, CYCLE, rng)
-    assert st_.backoff.k == 8
+    assert st_.backoff.k == MAX_BACKOFF_STAGE
     succeed(st_, 5000, CYCLE, rng)
     # deterministic records revert to legacy on a second collision and on
     # a second busy probe, with a fresh stage-0 draw
-    fail(deterministic(consec_failures=1, backoff=dataclasses.replace(wide)),
-         40_000, CYCLE, rng)
-    det = deterministic(busy_probes=1, backoff=dataclasses.replace(wide))
+    fail(deterministic(consec_failures=1), 40_000, CYCLE, rng)
+    det = deterministic(busy_probes=1)
     probe_busy(det, det.deadline + 100, rng)
-    assert rng.windows == ([(0, (64 << k) - 1) for k in range(1, 9)]
-                           + [(0, 63)] * 3)
+    assert rng.windows == (
+        [(0, (CW_MIN << min(k, MAX_BACKOFF_STAGE)) - 1)
+         for k in range(1, MAX_BACKOFF_STAGE + 2)] + [(0, CW_MIN - 1)] * 3)
 
 
 def test_legacy_tick():
@@ -225,7 +224,7 @@ def test_ca_and_eca_failures_agree():
     # the two protocols differ only in their success branch
     rng_a, rng_b = RandomSource(11), RandomSource(11)
     ca = fresh(ProtocolKind.CSMA_CA, seed=11)
-    eca = dataclasses.replace(fresh(ProtocolKind.CSMA_ECA, seed=11), station=0)
+    eca = fresh(ProtocolKind.CSMA_ECA, seed=11)
     for _ in range(10):
         fail(ca, 0, CYCLE, rng_a)
         fail(eca, 0, CYCLE, rng_b)
@@ -254,12 +253,12 @@ SCRIPTS = st.lists(st.integers(min_value=0, max_value=3), min_size=1,
 @given(SEEDS, SCRIPTS)
 def test_transition_sequences_hold_invariants(seed, script):
     rng = RandomSource(seed)
-    state = initial_station(0, ProtocolKind.CF_MAC, rng)
+    state = initial_station(ProtocolKind.CF_MAC, rng)
     for op in script:
         step(state, op, rng)
         assert 0 <= state.backoff.k <= MAX_BACKOFF_STAGE
         assert 0 <= state.backoff.b <= (CW_MIN << state.backoff.k) - 1
-        assert 0 <= state.ret <= state.r_max
+        assert 0 <= state.ret <= MAX_RETRIES
         assert (state.phase == BACKOFF) == (state.mode is Mode.LEGACY)
         if state.mode is Mode.DETERMINISTIC:
             assert state.consec_failures < 2 and state.busy_probes < 2

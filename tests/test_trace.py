@@ -1,4 +1,5 @@
-"""Trace tests: the CSV writer against csv.writer, and column validation."""
+"""Trace tests: the CSV writer against csv.writer, the reader against the
+writer, and column validation."""
 import csv
 import io
 
@@ -8,7 +9,8 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wlansim import trace as trace_module
 from wlansim.protocols import ProtocolKind
-from wlansim.trace import MODES, OUTCOMES, TRACE_COLUMNS, TraceLog
+from wlansim.trace import (MODES, OUTCOMES, TRACE_COLUMNS, TraceLog,
+                           TransmissionRecord)
 
 INT64 = np.iinfo(np.int64)
 PARAMS = dict(protocol=ProtocolKind.CF_MAC, rate=48, payload_bytes=1470,
@@ -20,6 +22,9 @@ TIMES = st.integers(int(INT64.min), int(INT64.max)) | st.sampled_from(EDGES)
 ROWS = st.lists(st.tuples(st.integers(0, 2 ** 31 - 2), TIMES, TIMES,
                           st.integers(0, len(OUTCOMES) - 1),
                           st.integers(0, len(MODES) - 1)), max_size=12)
+# every outcome in both modes
+LABELS = [(0, 10 * k, 10 * k + 5, o, m) for k, (o, m) in enumerate(
+    (o, m) for o in range(len(OUTCOMES)) for m in range(len(MODES)))]
 
 
 def trace_of(rows, n_stations):
@@ -86,15 +91,68 @@ def test_constructor_rejects_unknown_codes(column, code, count):
 
 @pytest.mark.parametrize("duration_us,warmup_us", [
     (100, 100), (100, 250), (100, -1), (0, 0)])
-def test_window_must_leave_a_measured_span(duration_us, warmup_us):
+def test_window_must_leave_a_measured_span(duration_us, warmup_us, tmp_path):
     # compute_report divides by duration_us - warmup_us
     params = {**PARAMS, "duration_us": duration_us, "warmup_us": warmup_us}
     with pytest.raises(ValueError, match="warmup_us"):
         TraceLog(n_stations=2, **params)
+    path = tmp_path / "t.csv"
+    trace_of([], 2).write_csv(path)
     with pytest.raises(ValueError, match="warmup_us"):
-        TraceLog.from_records([], n_stations=2, **params)
+        TraceLog.read_csv(path, n_stations=2, **params)
 
 
 def test_window_of_one_microsecond_is_accepted():
-    TraceLog.from_records([], n_stations=2, **{**PARAMS, "duration_us": 100,
-                                                "warmup_us": 99})
+    TraceLog(n_stations=2, **{**PARAMS, "duration_us": 100, "warmup_us": 99})
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(rows=ROWS)
+@example(rows=LABELS)
+@example(rows=[(0, v, -v - 1, 0, 0) for v in EDGES])
+@example(rows=[])
+def test_read_csv_inverts_write_csv(rows, tmp_path):
+    first, second = tmp_path / "a.csv", tmp_path / "b.csv"
+    n_stations = max((r[0] for r in rows), default=0) + 1
+    trace = trace_of(rows, n_stations)
+    trace.write_csv(first)
+    back = TraceLog.read_csv(first, n_stations=n_stations, **PARAMS)
+    for name in ("station", "start", "end", "outcome", "mode"):
+        column = getattr(back, name)
+        assert column.dtype == getattr(trace, name).dtype, name
+        assert column.tolist() == getattr(trace, name).tolist(), name
+    back.write_csv(second)
+    assert second.read_bytes() == first.read_bytes()
+
+
+@pytest.mark.parametrize("text", [
+    b"",
+    b"station,start_us,end_us,outcome\r\n",
+    b"start_us,station,end_us,outcome,mode\r\n",
+    b"0,10,15,success,legacy\r\n",
+], ids=["empty_file", "missing_column", "reordered", "no_header"])
+def test_read_csv_rejects_a_foreign_header(tmp_path, text):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text)
+    with pytest.raises(ValueError, match="trace header"):
+        TraceLog.read_csv(path, n_stations=2, **PARAMS)
+
+
+@pytest.mark.parametrize("row", [
+    b"0,10,15,lost,legacy", b"0,10,15,success,burst", b"0,10,15,success",
+    b"0,10,15,success,legacy,1", b"0,ten,15,success,legacy",
+    b"2,10,15,success,legacy"])
+def test_read_csv_rejects_malformed_rows(tmp_path, row):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
+                     + b"\r\n")
+    with pytest.raises(ValueError):
+        TraceLog.read_csv(path, n_stations=2, **PARAMS)
+
+
+def test_records_view_matches_the_columns():
+    # the per-row view other tools iterate: the same rows, as objects
+    records = trace_of(LABELS, 1).records
+    assert all(type(r) is TransmissionRecord for r in records)
+    assert [(r.station, r.start, r.end, OUTCOMES.index(r.outcome),
+             MODES.index(r.mode)) for r in records] == LABELS
