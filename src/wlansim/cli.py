@@ -17,7 +17,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .bianchi import DcfModelParams, solve_fixed_point
+from .bianchi import solve_fixed_point
 from .engine import ConfigError, SimConfig, run_experiment
 from .metrics import MetricsReport, normalized_interarrival
 from .phy import SUPPORTED_RATES
@@ -334,7 +334,7 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                 continue
             proto, rate, n, seed = key
             if n not in model_p:
-                model_p[n] = solve_fixed_point(DcfModelParams(n=n))[1]
+                model_p[n] = solve_fixed_point(n)[1]
             ref = cfmac_ref.get((rate, n, seed))
             norm = normalized_interarrival(report.interarrival, ref) \
                 if ref else {}
@@ -405,7 +405,7 @@ def _cmd_model(args) -> int:
                           f"got {args.stations!r}")
     print("n,tau,p")
     for n in counts:
-        tau, p = solve_fixed_point(DcfModelParams(n=n))
+        tau, p = solve_fixed_point(n)
         print(f"{n},{tau!r},{p!r}")
     return 0
 

@@ -37,12 +37,13 @@ mid-air on a false-idle CCA sample (below) does one pass in start order
 (`_resolve`) classify them: all last the same airtime, so a frame overlaps
 the group before it exactly when it starts less than one frame after the
 previous one. Outcomes are applied at the channel-release instant in
-station order, and each attempt's row of five int64 (station, start, end,
+station order, and each attempt's row of four int64 (station, start,
 outcome, mode) goes to one array('q') buffer with its outcome; after a
 joiner, whose start order is not station order, the rows go first and the
-outcomes are sorted. The ACK timeout is folded into the release rather than
-modeled as a separate observable, which keeps every legacy station on one
-shared post-busy slot grid.
+outcomes are sorted. Every frame ends one airtime after its start, so the
+end column is filled once, after the run. The ACK timeout is folded into
+the release rather than modeled as a separate observable, which keeps
+every legacy station on one shared post-busy slot grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -86,7 +87,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .metrics import MetricsReport, compute_report
-from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, FrameSpec, ack_airtime,
+from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, ack_airtime,
                   data_airtime, phy_profile)
 from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProtocolKind,
                         RandomSource, count_down, fail, initial_station,
@@ -104,7 +105,7 @@ _COLLISION = OUTCOME_CODE[Outcome.COLLISION]
 _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
-_COLUMN_DTYPES = (np.int32, np.int64, np.int64, np.int8, np.int8)
+_ROW_DTYPES = (np.int32, np.int64, np.int8, np.int8)
 
 
 @dataclass
@@ -162,7 +163,7 @@ class SimConfig:
 def frame_exchange_us(rate: int, payload_bytes: int) -> int:
     """Airtime of one data + SIFS + ACK exchange in microseconds."""
     profile = phy_profile(rate)
-    data = data_airtime(FrameSpec(payload_bytes + MAC_OVERHEAD_BYTES, rate))
+    data = data_airtime(payload_bytes + MAC_OVERHEAD_BYTES, rate)
     return data + profile.sifs + ack_airtime(profile)
 
 
@@ -210,17 +211,18 @@ def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
 
 
 def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
-    # the trace columns at their final length: the rows of `head` (five
-    # int64 each, in column order), then `extra` rows left to the caller
-    block = np.frombuffer(head, np.int64).reshape(-1, 5)
-    columns = [np.empty(len(block) + extra, dt) for dt in _COLUMN_DTYPES]
+    # the station, start, outcome and mode columns at their final length:
+    # the rows of `head` (four int64 each, in that order), then `extra` rows
+    # left to the caller
+    block = np.frombuffer(head, np.int64).reshape(-1, 4)
+    columns = [np.empty(len(block) + extra, dt) for dt in _ROW_DTYPES]
     for column, values in zip(columns, block.T):
         column[:len(block)] = values
     return columns
 
 
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
-                   data_us: int, exchange_us: int, duration_us: int,
+                   exchange_us: int, duration_us: int,
                    head: array | bytes = b"") -> list[np.ndarray] | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
@@ -248,15 +250,14 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     part = int(np.searchsorted(first, duration_us - cycles * cycle_us))
     full = cycles * n
     columns = _columns(head, full + part)
-    station, start, end, outcome, mode = (c[len(c) - full - part:]
-                                          for c in columns)
+    station, start, outcome, mode = (c[len(c) - full - part:]
+                                     for c in columns)
     stations = np.array([i for _, i in order], dtype=np.int32)
     np.add(first, cycle_us * np.arange(cycles, dtype=np.int64)[:, None],
            out=start[:full].reshape(cycles, n))
     np.add(first[:part], cycles * cycle_us, out=start[full:])
     station[:full].reshape(cycles, n)[:] = stations
     station[full:] = stations[:part]
-    np.add(start, data_us, out=end)
     outcome[:], mode[:] = _SUCCESS, _DETERMINISTIC
     return columns
 
@@ -266,8 +267,8 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     config.validate()
     profile = phy_profile(config.rate)
     slot, difs = profile.slot, profile.difs
-    data_us = data_airtime(FrameSpec(config.payload_bytes + MAC_OVERHEAD_BYTES,
-                                     config.rate))
+    data_us = data_airtime(config.payload_bytes + MAC_OVERHEAD_BYTES,
+                           config.rate)
     sifs_ack_us = profile.sifs + ack_airtime(profile)
     hold_us = 2 * slot
     n = config.n_stations
@@ -281,7 +282,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     # at release + DIFS + (K - banked) slots
     release = 0  # [us] instant the channel last went idle
     banked = 0   # idle slots counted down on the shared grid so far
-    gkey: list[int | None] = [s.backoff.b for s in states]  # live grid key
+    gkey: list[int | None] = [s.b for s in states]  # live grid key
     # (key, station); an entry whose key is not its station's gkey is stale
     # and is dropped when it reaches the top
     grid = [(k, i) for i, k in enumerate(gkey)]
@@ -293,7 +294,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     due: list[tuple[int, int, int] | None] = [None] * n
     loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
-    rows = array("q")  # station, start, end, outcome, mode per attempt
+    rows = array("q")  # station, start, outcome, mode per attempt
     put = rows.extend
     heappop, heappush = heapq.heappop, heapq.heappush
     # per-period scratch, cleared as a period starts: non-transmitters to
@@ -375,7 +376,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                 anchor = t_next + hold_us if i in flip_holders else t_next
                 st = states[i]
                 loose[i] = anchor
-                schedule(anchor + difs + st.backoff.b * slot, st.phase, i)
+                schedule(anchor + difs + st.b * slot, st.phase, i)
             continue
 
         # --- busy period ---
@@ -394,7 +395,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             for i, a in loose.items():
                 elapsed = (t0 - a - difs) // slot
                 if states[i].phase == BACKOFF and elapsed > 0:
-                    if states[i].backoff.b - elapsed < 1:
+                    if states[i].b - elapsed < 1:
                         raise RuntimeError(f"backoff of off-grid station {i} "
                                            f"ran out unnoticed")
                     count_down(states[i], elapsed)
@@ -450,13 +451,13 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         if flip_joins:
             outcomes = list(outcomes)
             for (start, i), code in outcomes:
-                put((i, start, start + data_us, code,
+                put((i, start, code,
                      _LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC))
             outcomes.sort(key=lambda o: o[0][1])
         for (start, i), code in outcomes:
             st = states[i]
             if not flip_joins:
-                put((i, start, start + data_us, code,
+                put((i, start, code,
                      _LEGACY if st.phase == BACKOFF else _DETERMINISTIC))
             if code == _SUCCESS:
                 succeed(st, start, cycle_us, rng)
@@ -469,7 +470,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                                        f"at {free_at} us")
                 schedule(st.deadline, DEADLINE, i)
             else:
-                gkey[i] = key = banked + st.backoff.b
+                gkey[i] = key = banked + st.b
                 heappush(grid, (key, i))
 
         release = clock = free_at
@@ -479,7 +480,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             st = states[i]
             if st.phase == HOLD:
                 schedule(release, HOLD, i)
-            elif gkey[i] != (key := banked + st.backoff.b):
+            elif gkey[i] != (key := banked + st.b):
                 gkey[i] = key
                 heappush(grid, (key, i))
 
@@ -487,16 +488,17 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         if converge and all(st.phase == DEADLINE for st in states):
             tail = _periodic_tail([(st.deadline, i)
                                    for i, st in enumerate(states)],
-                                  cycle_us, data_us, data_us + sifs_ack_us,
+                                  cycle_us, data_us + sifs_ack_us,
                                   duration_us, rows)
             if tail is not None:
                 break
 
-    station, start, end, outcome, mode = tail or _columns(rows)
+    station, start, outcome, mode = tail or _columns(rows)
     del rows, put
     trace = TraceLog(protocol=config.protocol, n_stations=n, rate=config.rate,
                      payload_bytes=config.payload_bytes,
                      duration_us=duration_us, warmup_us=config.warmup_us,
                      seed=config.seed, cycle_us=cycle_us, station=station,
-                     start=start, end=end, outcome=outcome, mode=mode)
+                     start=start, end=start + data_us, outcome=outcome,
+                     mode=mode)
     return trace, compute_report(trace)

@@ -38,27 +38,18 @@ class UnsupportedRateError(ValueError):
 class PhyProfile:
     """Per-rate slot structure, all durations in microseconds."""
 
-    rate: int        # [Mb/s]
     slot: int        # [us]
     sifs: int        # [us]
     difs: int        # [us]
     preamble: Preamble
 
 
-@dataclass(frozen=True)
-class FrameSpec:
-    """A frame as the PHY sees it: MPDU length and data rate."""
-
-    mpdu_bytes: int
-    rate: int  # [Mb/s]
-
-
 _PROFILES = {
-    6: PhyProfile(rate=6, slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
-    11: PhyProfile(rate=11, slot=20, sifs=10, difs=50, preamble=Preamble.DSSS),
-    12: PhyProfile(rate=12, slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
-    24: PhyProfile(rate=24, slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
-    48: PhyProfile(rate=48, slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
+    6: PhyProfile(slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
+    11: PhyProfile(slot=20, sifs=10, difs=50, preamble=Preamble.DSSS),
+    12: PhyProfile(slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
+    24: PhyProfile(slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
+    48: PhyProfile(slot=9, sifs=10, difs=28, preamble=Preamble.OFDM),
 }
 
 
@@ -81,14 +72,13 @@ def _dsss_airtime(mpdu_bytes: int, rate: int) -> int:
     return DSSS_LONG_PREAMBLE_US + math.ceil(8 * mpdu_bytes / rate)
 
 
-def data_airtime(frame: FrameSpec) -> int:
+def data_airtime(mpdu_bytes: int, rate: int) -> int:
     """Airtime of one MPDU in whole microseconds (ceil quantization)."""
-    if frame.mpdu_bytes < 0:
+    if mpdu_bytes < 0:
         raise ValueError("mpdu_bytes must be non-negative")
-    profile = phy_profile(frame.rate)
-    if profile.preamble is Preamble.DSSS:
-        return _dsss_airtime(frame.mpdu_bytes, frame.rate)
-    return _ofdm_airtime(frame.mpdu_bytes, frame.rate)
+    if phy_profile(rate).preamble is Preamble.DSSS:
+        return _dsss_airtime(mpdu_bytes, rate)
+    return _ofdm_airtime(mpdu_bytes, rate)
 
 
 def ack_airtime(profile: PhyProfile) -> int:

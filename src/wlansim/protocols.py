@@ -30,10 +30,10 @@ STICKINESS_LIMIT = 2     # consecutive deterministic collisions tolerated before
 BUSY_LIMIT = 2           # busy probe findings tolerated before reverting
 
 # scheduling phase: what a station waits for before its next attempt
-BACKOFF = 0   # legacy mode, the slot countdown of backoff.b
+BACKOFF = 0   # legacy mode, the slot countdown of b
 DEADLINE = 1  # deterministic, its absolute deadline
 HOLD = 2      # deterministic, a hold window for the channel to clear
-REDUCED = 3   # deterministic, the reduced backoff of backoff.b slots
+REDUCED = 3   # deterministic, the reduced backoff of b slots
 
 
 class ProtocolKind(Enum):
@@ -76,15 +76,10 @@ class RandomSource:
 
 
 @dataclass(slots=True)
-class BackoffState:
-    k: int = 0            # current backoff stage
-    b: int = 0            # remaining backoff slots
-
-
-@dataclass(slots=True)
 class StationState:
     kind: ProtocolKind
-    backoff: BackoffState
+    k: int = 0            # current backoff stage
+    b: int = 0            # remaining backoff slots
     ret: int = 0
     consec_failures: int = 0
     busy_probes: int = 0
@@ -99,8 +94,7 @@ class StationState:
 
 def initial_station(kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""
-    return StationState(kind=kind, backoff=BackoffState(
-        k=0, b=rng.next_uniform(0, CW_MIN - 1)))
+    return StationState(kind=kind, b=rng.next_uniform(0, CW_MIN - 1))
 
 
 def _revert(state: StationState, rng: RandomSource) -> None:
@@ -108,22 +102,21 @@ def _revert(state: StationState, rng: RandomSource) -> None:
     state.phase = BACKOFF
     state.ret = state.consec_failures = state.busy_probes = 0
     state.deadline = None
-    state.backoff.k = 0
-    state.backoff.b = rng.next_uniform(0, CW_MIN - 1)
+    state.k = 0
+    state.b = rng.next_uniform(0, CW_MIN - 1)
 
 
 def succeed(state: StationState, tx_start_us: int, cycle_us: int,
             rng: RandomSource) -> None:
     """ACK received for the transmission that started at tx_start_us."""
-    state.ret = 0
-    state.backoff.k = 0
+    state.ret = state.k = 0
     if state.kind is _CSMA_CA:
-        state.backoff.b = rng.next_uniform(0, CW_MIN - 1)
+        state.b = rng.next_uniform(0, CW_MIN - 1)
     elif state.kind is _CSMA_ECA:
-        state.backoff.b = ECA_BACKOFF
+        state.b = ECA_BACKOFF
     else:
         # CF-MAC: leave the slotted contention, next attempt one cycle on
-        state.backoff.b = 0
+        state.b = 0
         state.phase = DEADLINE
         state.consec_failures = state.busy_probes = 0
         state.deadline = tx_start_us + cycle_us
@@ -139,14 +132,13 @@ def fail(state: StationState, tx_start_us: int, cycle_us: int,
     second.
     """
     if state.phase == BACKOFF:
-        backoff = state.backoff
         state.ret += 1
         if state.ret >= MAX_RETRIES:
             # retry budget exhausted: drop the packet, start fresh on the next one
-            state.ret = backoff.k = 0
+            state.ret = state.k = 0
         else:
-            backoff.k = min(backoff.k + 1, MAX_BACKOFF_STAGE)
-        backoff.b = rng.next_uniform(0, (CW_MIN << backoff.k) - 1)
+            state.k = min(state.k + 1, MAX_BACKOFF_STAGE)
+        state.b = rng.next_uniform(0, (CW_MIN << state.k) - 1)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:
         _revert(state, rng)
@@ -160,7 +152,7 @@ def count_down(state: StationState, slots: int) -> None:
     """`slots` idle slots observed in legacy mode, floored at zero."""
     if state.phase != BACKOFF:
         raise ValueError("slot countdown only runs in legacy mode")
-    state.backoff.b = max(state.backoff.b - slots, 0)
+    state.b = max(state.b - slots, 0)
 
 
 def probe_busy(state: StationState, now_us: int, rng: RandomSource) -> None:
@@ -169,7 +161,7 @@ def probe_busy(state: StationState, now_us: int, rng: RandomSource) -> None:
     Checkpoints are the deadline instant, the end of the two-slot hold window,
     and the reduced-backoff fire instant. A busy deadline starts the hold
     (phase HOLD); a busy finding after it arms the reduced backoff of
-    `backoff.b` slots (phase REDUCED); any further busy finding before a
+    `b` slots (phase REDUCED); any further busy finding before a
     success reverts the station to legacy contention (phase BACKOFF).
     """
     if state.phase == BACKOFF or state.deadline is None:
@@ -184,4 +176,4 @@ def probe_busy(state: StationState, now_us: int, rng: RandomSource) -> None:
         # k is 0 throughout Deterministic mode, so the draw fits the window
         state.busy_probes += 1
         state.phase = REDUCED
-        state.backoff.b = rng.next_uniform(0, REDUCED_WINDOW - 1)
+        state.b = rng.next_uniform(0, REDUCED_WINDOW - 1)

@@ -11,10 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 
-class NoContendersError(ValueError):
-    """Raised when a cycle is requested for zero stations."""
-
-
 @dataclass(frozen=True)
 class ScheduleRow:
     share_us: float    # per-station slice of the cycle [us]
@@ -51,5 +47,5 @@ DEFAULT_TABLE = ScheduleTable(rows={
 def cycle_timer(n: int, rate: int, table: ScheduleTable = DEFAULT_TABLE) -> int:
     """Deterministic inter-transmission period for n contenders, in microseconds."""
     if n < 1:
-        raise NoContendersError("cycle timer needs at least one contender")
+        raise ValueError("cycle timer needs at least one contender")
     return n * table.row(rate).total_us

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from wlansim.bianchi import DcfModelParams, solve_fixed_point
+from wlansim.bianchi import solve_fixed_point
 from wlansim.cli import (
     _PLAN_KEYS,
     SUMMARY_COLUMNS,
@@ -287,7 +287,7 @@ def test_sweep_artifacts_and_row_counts(sweep):
 def test_summary_model_column_is_exact(sweep):
     config, out = sweep
     run_plan(parse_config(config))
-    p_expected = solve_fixed_point(DcfModelParams(n=2))[1]
+    p_expected = solve_fixed_point(2)[1]
     rows = read_summary(out)
     assert rows
     assert all(float(r["bianchi_p"]) == p_expected for r in rows)
@@ -505,7 +505,7 @@ def test_model_table_output(capsys):
     for line, n in zip(lines[1:], (2, 4)):
         n_got, tau, p = line.split(",")
         assert int(n_got) == n
-        tau_ref, p_ref = solve_fixed_point(DcfModelParams(n=n))
+        tau_ref, p_ref = solve_fixed_point(n)
         assert float(tau) == tau_ref
         assert float(p) == p_ref
 

@@ -11,7 +11,8 @@ from wlansim.engine import (
     run_experiment,
 )
 from wlansim.metrics import steady_state_start
-from wlansim.phy import FrameSpec, UnsupportedRateError, data_airtime, phy_profile
+from wlansim.phy import (MAC_OVERHEAD_BYTES, UnsupportedRateError, data_airtime,
+                         phy_profile)
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable
 from wlansim.trace import (MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES, Outcome,
@@ -36,7 +37,7 @@ def assert_same_trace(a, b):
 
 
 def assert_wellformed(trace):
-    airtime = data_airtime(FrameSpec(trace.payload_bytes + 38, trace.rate))
+    airtime = data_airtime(trace.payload_bytes + MAC_OVERHEAD_BYTES, trace.rate)
     assert ((0 <= trace.start) & (trace.start < trace.duration_us)).all()
     assert (trace.end - trace.start == airtime).all()
     # rows are in (start, station) order
@@ -294,23 +295,21 @@ def spy_on_tail(monkeypatch, fire=True):
 def test_periodic_tail_closed_form():
     # two stations 500 us apart on a 1000 us cycle with 400 us exchanges;
     # a start at the end of the run is past it
-    columns = engine._periodic_tail([(600, 1), (100, 0)], 1000, 300, 400,
-                                    2600)
-    station, start, end, outcome, mode = (c.tolist() for c in columns)
-    assert list(zip(station, start, end)) == [
-        (0, 100, 400), (1, 600, 900), (0, 1100, 1400), (1, 1600, 1900),
-        (0, 2100, 2400)]
+    columns = engine._periodic_tail([(600, 1), (100, 0)], 1000, 400, 2600)
+    station, start, outcome, mode = (c.tolist() for c in columns)
+    assert list(zip(station, start)) == [
+        (0, 100), (1, 600), (0, 1100), (1, 1600), (0, 2100)]
     assert {(OUTCOMES[o], MODES[m]) for o, m in zip(outcome, mode)} == {
         (Outcome.SUCCESS, Mode.DETERMINISTIC)}
     assert np.bincount(station).tolist() == [3, 2]
     # gaps of exactly one exchange, the wrap included, still qualify
-    assert engine._periodic_tail([(100, 0), (500, 1)], 800, 300, 400,
+    assert engine._periodic_tail([(100, 0), (500, 1)], 800, 400,
                                  2600) is not None
     # a gap shorter than an exchange, inside the cycle or across its wrap,
     # is not periodic
-    assert engine._periodic_tail([(100, 0), (499, 1)], 1000, 300, 400,
+    assert engine._periodic_tail([(100, 0), (499, 1)], 1000, 400,
                                  2600) is None
-    assert engine._periodic_tail([(100, 0), (800, 1)], 1000, 300, 400,
+    assert engine._periodic_tail([(100, 0), (800, 1)], 1000, 400,
                                  2600) is None
 
 
@@ -413,8 +412,8 @@ def test_legacy_sensing_ignores_the_noise_knob():
 # -- model agreement (loose) --------------------------------------------------
 
 def test_collision_rate_tracks_the_fixed_point():
-    from wlansim.bianchi import DcfModelParams, solve_fixed_point
+    from wlansim.bianchi import solve_fixed_point
     _, report = run_experiment(config(n_stations=8, rate=12, duration_s=5.0,
                                       warmup_s=0.5, seed=1))
-    _, p = solve_fixed_point(DcfModelParams(n=8))
+    _, p = solve_fixed_point(8)
     assert report.aggregate_loss == pytest.approx(p, abs=0.08)

@@ -11,7 +11,6 @@ import pytest
 
 from wlansim.bianchi import (
     RESIDUAL_TARGET,
-    DcfModelParams,
     solve_fixed_point,
     transmission_probability,
 )
@@ -29,20 +28,20 @@ ORACLE = {
 @pytest.mark.parametrize("n", sorted(ORACLE))
 def test_solver_matches_grid_oracle(n):
     p_ref, tau_ref = ORACLE[n]
-    tau, p = solve_fixed_point(DcfModelParams(n=n))
+    tau, p = solve_fixed_point(n)
     assert abs(p - p_ref) <= 1e-6
     assert abs(tau - tau_ref) <= 1e-6
 
 
 @pytest.mark.parametrize("n", sorted(ORACLE))
 def test_solution_is_a_fixed_point(n):
-    tau, p = solve_fixed_point(DcfModelParams(n=n))
+    tau, p = solve_fixed_point(n)
     assert abs(p - (1.0 - (1.0 - tau) ** (n - 1))) < RESIDUAL_TARGET
-    assert math.isclose(tau, transmission_probability(p, 16, 6), rel_tol=1e-12)
+    assert math.isclose(tau, transmission_probability(p), rel_tol=1e-12)
 
 
 def test_single_station_never_collides():
-    tau, p = solve_fixed_point(DcfModelParams(n=1))
+    tau, p = solve_fixed_point(1)
     assert p == 0.0
     # With no collisions the station always transmits from stage zero:
     # tau = 2 / (W + 1).
@@ -50,12 +49,12 @@ def test_single_station_never_collides():
 
 
 def test_tau_at_zero_collision_probability():
-    assert transmission_probability(0.0, 16, 6) == pytest.approx(2.0 / 17.0)
+    assert transmission_probability(0.0) == pytest.approx(2.0 / 17.0)
 
 
 def test_p_increases_and_tau_decreases_with_population():
     ns = [2, 4, 8, 12, 24, 48]
-    solved = [solve_fixed_point(DcfModelParams(n=n)) for n in ns]
+    solved = [solve_fixed_point(n) for n in ns]
     taus = [tau for tau, _ in solved]
     ps = [p for _, p in solved]
     assert all(a > b for a, b in zip(taus, taus[1:]))
@@ -64,22 +63,11 @@ def test_p_increases_and_tau_decreases_with_population():
 
 @pytest.mark.parametrize("n", [1, 2, 7, 30, 100])
 def test_solution_bounds(n):
-    tau, p = solve_fixed_point(DcfModelParams(n=n))
+    tau, p = solve_fixed_point(n)
     assert 0.0 <= p < 1.0
     assert 0.0 < tau <= 2.0 / 17.0
 
 
 def test_params_validation():
     with pytest.raises(ValueError):
-        solve_fixed_point(DcfModelParams(n=0))
-    with pytest.raises(ValueError):
-        DcfModelParams(n=2, w=0).validate()
-    with pytest.raises(ValueError):
-        DcfModelParams(n=2, m=-1).validate()
-
-
-def test_custom_window_shifts_fixed_point():
-    # A larger minimum window spreads attempts out, so collisions get rarer.
-    _, p_small = solve_fixed_point(DcfModelParams(n=12, w=16))
-    _, p_large = solve_fixed_point(DcfModelParams(n=12, w=64))
-    assert p_large < p_small
+        solve_fixed_point(0)

@@ -10,12 +10,12 @@ def test_public_names():
     # the library surface; engine internals, state-machine parts and the
     # per-row TransmissionRecord are imported from their modules
     assert sorted(wlansim.__all__) == [
-        "ConfigError", "DEFAULT_TABLE", "DcfModelParams", "FixedPointError",
-        "MetricsReport", "Mode", "Outcome", "ProtocolKind", "ScheduleRow",
-        "ScheduleTable", "SimConfig", "TraceLog", "UnsupportedRateError",
-        "compute_report", "convergence_time", "jfi", "loss_fraction",
-        "min_max_ratio", "normalized_interarrival", "run_experiment",
-        "solve_fixed_point", "steady_state_start"]
+        "ConfigError", "DEFAULT_TABLE", "FixedPointError", "MetricsReport",
+        "Mode", "Outcome", "ProtocolKind", "ScheduleRow", "ScheduleTable",
+        "SimConfig", "TraceLog", "UnsupportedRateError", "compute_report",
+        "convergence_time", "jfi", "loss_fraction", "min_max_ratio",
+        "normalized_interarrival", "run_experiment", "solve_fixed_point",
+        "steady_state_start"]
     for name in wlansim.__all__:
         assert getattr(wlansim, name) is not None, name
 

@@ -4,10 +4,10 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlansim.protocols import (BACKOFF, HOLD, REDUCED, BackoffState, CW_MIN,
-                               ECA_BACKOFF, MAX_BACKOFF_STAGE, MAX_RETRIES,
-                               Mode, ProtocolKind, RandomSource, count_down,
-                               fail, initial_station, probe_busy, succeed)
+from wlansim.protocols import (BACKOFF, HOLD, REDUCED, CW_MIN, ECA_BACKOFF,
+                               MAX_BACKOFF_STAGE, MAX_RETRIES, Mode,
+                               ProtocolKind, RandomSource, count_down, fail,
+                               initial_station, probe_busy, succeed)
 from wlansim.schedule import cycle_timer
 
 CYCLE = cycle_timer(12, 6)
@@ -61,13 +61,13 @@ def test_draw_ranges():
         dropped = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
                                       ret=MAX_RETRIES - 1)
         fail(dropped, 0, CYCLE, rng)
-        assert dropped.backoff.k == 0
-        draws0.append(dropped.backoff.b)
+        assert dropped.k == 0
+        draws0.append(dropped.b)
         top = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                                  backoff=BackoffState(k=5))
+                                  k=5)
         fail(top, 0, CYCLE, rng)
-        assert top.backoff.k == MAX_BACKOFF_STAGE
-        draws6.append(top.backoff.b)
+        assert top.k == MAX_BACKOFF_STAGE
+        draws6.append(top.b)
     assert all(0 <= b <= 15 for b in draws0)
     assert all(0 <= b <= 1023 for b in draws6)
     assert max(draws6) > 15  # the window really widened
@@ -76,24 +76,24 @@ def test_draw_ranges():
 def test_initial_station():
     st_ = fresh(ProtocolKind.CSMA_CA)
     assert st_.mode is Mode.LEGACY
-    assert st_.backoff.k == 0
-    assert 0 <= st_.backoff.b <= 15
+    assert st_.k == 0
+    assert 0 <= st_.b <= 15
 
 
 def test_on_success_csma_ca():
     rng = RandomSource(3)
     st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                              backoff=BackoffState(k=6, b=900), ret=4)
+                              k=6, b=900, ret=4)
     succeed(st_, 5000, CYCLE, rng)
     assert st_.ret == 0
-    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
+    assert st_.k == 0 and 0 <= st_.b <= 15
     assert st_.mode is Mode.LEGACY
 
 
 def test_on_success_csma_eca():
     st_ = fresh(ProtocolKind.CSMA_ECA)
     succeed(st_, 5000, CYCLE, RandomSource(3))
-    assert st_.backoff.k == 0 and st_.backoff.b == ECA_BACKOFF == 7
+    assert st_.k == 0 and st_.b == ECA_BACKOFF == 7
 
 
 def test_on_success_cfmac():
@@ -116,12 +116,12 @@ def test_on_failure_legacy_backoff_growth():
     st_ = fresh(ProtocolKind.CSMA_CA)
     for expected_k in (1, 2, 3, 4, 5):
         fail(st_, 0, CYCLE, rng)
-        assert st_.backoff.k == expected_k
-        assert 0 <= st_.backoff.b <= (CW_MIN << expected_k) - 1
+        assert st_.k == expected_k
+        assert 0 <= st_.b <= (CW_MIN << expected_k) - 1
     # stage clamps at m even as retries continue
-    st_ = dataclasses.replace(st_, backoff=BackoffState(k=6, b=3), ret=2)
+    st_ = dataclasses.replace(st_, k=6, b=3, ret=2)
     fail(st_, 0, CYCLE, rng)
-    assert st_.backoff.k == MAX_BACKOFF_STAGE == 6
+    assert st_.k == MAX_BACKOFF_STAGE == 6
 
 
 def test_on_failure_discards_at_retry_limit():
@@ -132,7 +132,7 @@ def test_on_failure_discards_at_retry_limit():
     assert st_.ret == 5
     fail(st_, 0, CYCLE, rng)  # sixth failed retransmission: drop the packet
     assert st_.ret == 0
-    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
+    assert st_.k == 0 and 0 <= st_.b <= 15
 
 
 def test_on_failure_deterministic_stickiness():
@@ -147,7 +147,7 @@ def test_on_failure_second_collision_reverts():
     st_ = deterministic(consec_failures=1)
     fail(st_, 40_000, CYCLE, RandomSource(2))
     assert st_.mode is Mode.LEGACY
-    assert st_.backoff.k == 0 and 0 <= st_.backoff.b <= 15
+    assert st_.k == 0 and 0 <= st_.b <= 15
     assert st_.deadline is None and st_.consec_failures == 0
 
 
@@ -169,7 +169,7 @@ def test_transitions_draw_from_the_module_windows():
     for _ in range(MAX_BACKOFF_STAGE + 1):  # one failure past the top stage
         st_.ret = 0  # keep the packet: no retry-limit drop in between
         fail(st_, 0, CYCLE, rng)
-    assert st_.backoff.k == MAX_BACKOFF_STAGE
+    assert st_.k == MAX_BACKOFF_STAGE
     succeed(st_, 5000, CYCLE, rng)
     # deterministic records revert to legacy on a second collision and on
     # a second busy probe, with a fresh stage-0 draw
@@ -183,13 +183,13 @@ def test_transitions_draw_from_the_module_windows():
 
 def test_legacy_tick():
     st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                              backoff=BackoffState(k=0, b=3))
+                              k=0, b=3)
     count_down(st_, 1)
-    assert st_.backoff.b == 2
+    assert st_.b == 2
     count_down(st_, 0)  # a busy slot freezes the counter
-    assert st_.backoff.b == 2
+    assert st_.b == 2
     count_down(st_, 5)
-    assert st_.backoff.b == 0  # floored at zero
+    assert st_.b == 0  # floored at zero
     with pytest.raises(ValueError):
         count_down(deterministic(), 1)
 
@@ -200,14 +200,14 @@ def test_probe_actions():
     at = det.deadline
     rng = RandomSource(4)
     probe_busy(det, at, rng)  # busy deadline: hold
-    assert det.phase == HOLD and det.backoff.b == 0
+    assert det.phase == HOLD and det.b == 0
     probe_busy(det, at + 18, rng)  # busy hold end: reduced backoff
     assert det.phase == REDUCED
-    assert 0 <= det.backoff.b <= 6
+    assert 0 <= det.b <= 6
     assert det.busy_probes == 1
     probe_busy(det, at + 100, rng)  # second busy finding: revert
     assert det.phase == BACKOFF and det.mode is Mode.LEGACY
-    assert det.backoff.k == 0 and 0 <= det.backoff.b <= 15
+    assert det.k == 0 and 0 <= det.b <= 15
     assert det.deadline is None
 
 
@@ -228,7 +228,7 @@ def test_ca_and_eca_failures_agree():
     for _ in range(10):
         fail(ca, 0, CYCLE, rng_a)
         fail(eca, 0, CYCLE, rng_b)
-        assert ca.backoff == eca.backoff
+        assert (ca.k, ca.b) == (eca.k, eca.b)
         assert ca.ret == eca.ret
 
 
@@ -256,8 +256,8 @@ def test_transition_sequences_hold_invariants(seed, script):
     state = initial_station(ProtocolKind.CF_MAC, rng)
     for op in script:
         step(state, op, rng)
-        assert 0 <= state.backoff.k <= MAX_BACKOFF_STAGE
-        assert 0 <= state.backoff.b <= (CW_MIN << state.backoff.k) - 1
+        assert 0 <= state.k <= MAX_BACKOFF_STAGE
+        assert 0 <= state.b <= (CW_MIN << state.k) - 1
         assert 0 <= state.ret <= MAX_RETRIES
         assert (state.phase == BACKOFF) == (state.mode is Mode.LEGACY)
         if state.mode is Mode.DETERMINISTIC:

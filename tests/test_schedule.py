@@ -3,8 +3,8 @@ from hypothesis import given, strategies as st
 
 from wlansim.engine import frame_exchange_us
 from wlansim.phy import SUPPORTED_RATES, phy_profile
-from wlansim.schedule import (DEFAULT_TABLE, NoContendersError, ScheduleRow,
-                              ScheduleTable, cycle_timer)
+from wlansim.schedule import (DEFAULT_TABLE, ScheduleRow, ScheduleTable,
+                              cycle_timer)
 
 
 def test_default_rows():
@@ -30,7 +30,7 @@ def test_cycle_timer_values():
 
 
 def test_cycle_timer_errors():
-    with pytest.raises(NoContendersError):
+    with pytest.raises(ValueError):
         cycle_timer(0, 6)
     with pytest.raises(ValueError):
         cycle_timer(4, 54)
