@@ -43,12 +43,12 @@ class ExperimentPlan:
         default_factory=lambda: [ProtocolKind.CF_MAC])
     rates: list[int] = field(default_factory=lambda: [6])
     stations: list[int] = field(default_factory=lambda: [12])
-    seeds: list[int] = field(default_factory=lambda: [1])
-    duration_s: float = 90.0
-    warmup_s: float = 5.0
-    payload_bytes: int = 1470
-    cca_error_prob: float = 0.0
-    schedule: ScheduleTable = DEFAULT_TABLE
+    seeds: list[int] = field(default_factory=lambda: [SimConfig.seed])
+    duration_s: float = SimConfig.duration_s
+    warmup_s: float = SimConfig.warmup_s
+    payload_bytes: int = SimConfig.payload_bytes
+    cca_error_prob: float = SimConfig.cca_error_prob
+    schedule: ScheduleTable = SimConfig.schedule
     out_dir: Path = Path("results")
     fmt: str = "csv"
 

@@ -108,7 +108,7 @@ _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 _ROW_DTYPES = (np.int32, np.int64, np.int8, np.int8)
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimConfig:
     """One run: homogeneous stations, fixed rate, saturated uplink."""
 
@@ -134,6 +134,9 @@ class SimConfig:
     def validate(self) -> None:
         if self.n_stations < 1:
             raise ConfigError("n_stations must be at least 1")
+        # random.Random seeds with |seed|, so -s would repeat the run of s
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         # duration_us must be finite too
         if not (self.duration_s > 0
                 and math.isfinite(self.duration_s * 1_000_000)):
@@ -495,10 +498,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
 
     station, start, outcome, mode = tail or _columns(rows)
     del rows, put
-    trace = TraceLog(protocol=config.protocol, n_stations=n, rate=config.rate,
-                     payload_bytes=config.payload_bytes,
-                     duration_us=duration_us, warmup_us=config.warmup_us,
-                     seed=config.seed, cycle_us=cycle_us, station=station,
-                     start=start, end=start + data_us, outcome=outcome,
-                     mode=mode)
+    trace = TraceLog(config, station=station, start=start, end=start + data_us,
+                     outcome=outcome, mode=mode)
     return trace, compute_report(trace)

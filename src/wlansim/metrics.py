@@ -118,9 +118,9 @@ def convergence_time(trace: TraceLog) -> int | None:
     success = trace.outcome == _SUCCESS
     if success.all():
         return 0
-    if trace.protocol is ProtocolKind.CSMA_CA:
+    if trace.config.protocol is ProtocolKind.CSMA_CA:
         return None
-    if trace.protocol is ProtocolKind.CF_MAC:
+    if trace.config.protocol is ProtocolKind.CF_MAC:
         if not (trace.mode == _DETERMINISTIC).any():
             return None
     settled_at = int(trace.end[~success].max())
@@ -146,20 +146,20 @@ def steady_state_start(trace: TraceLog) -> int | None:
     return start
 
 
-def compute_report(trace: TraceLog, window: tuple[int, int] | None = None) -> MetricsReport:
-    """Every metric of the attempts started in `window`, by default the
-    measured span [warmup_us, duration_us)."""
-    lo, hi = (trace.warmup_us, trace.duration_us) if window is None else window
-    if hi <= lo:
-        raise ValueError("window must have positive length")
-    inside = (trace.start >= lo) & (trace.start < hi)
+def compute_report(trace: TraceLog) -> MetricsReport:
+    """Every metric of the attempts started in the run's measured window,
+    [warmup_us, duration_us)."""
+    config = trace.config
+    lo, hi = config.warmup_us, config.duration_us
+    # rows are in start order, so the window is a slice: views, not copies
+    inside = slice(*np.searchsorted(trace.start, (lo, hi)))
     station = trace.station[inside]
-    n = trace.n_stations
+    n = config.n_stations
     wins = np.bincount(station[trace.outcome[inside] == _SUCCESS],
                        minlength=n).tolist()
     attempts = np.bincount(station, minlength=n).tolist()
     # bits per microsecond is numerically Mb/s
-    throughput = [c * trace.payload_bytes * 8 / (hi - lo) for c in wins]
+    throughput = [c * config.payload_bytes * 8 / (hi - lo) for c in wins]
     try:
         fairness = jfi(throughput)
         ratio = min_max_ratio(throughput)

@@ -27,10 +27,14 @@ import functools
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .protocols import Mode, ProtocolKind
+from .protocols import Mode
+
+if TYPE_CHECKING:  # the engine imports this module
+    from .engine import SimConfig
 
 TRACE_COLUMNS = ("station", "start_us", "end_us", "outcome", "mode")
 
@@ -61,16 +65,9 @@ class TransmissionRecord:
 
 @dataclass(eq=False)
 class TraceLog:
-    """Complete channel history of one run plus the parameters that shaped it."""
+    """One run's complete channel history plus the SimConfig that shaped it."""
 
-    protocol: ProtocolKind
-    n_stations: int
-    rate: int
-    payload_bytes: int
-    duration_us: int
-    warmup_us: int
-    seed: int
-    cycle_us: int  # deterministic rotation period for this (n, rate)
+    config: SimConfig
     # the columns; any sequence is converted to an array of its dtype
     station: np.ndarray = ()
     start: np.ndarray = ()
@@ -79,10 +76,8 @@ class TraceLog:
     mode: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        # the metrics divide by the measured window
-        if not 0 <= self.warmup_us < self.duration_us:
-            raise ValueError(f"warmup_us {self.warmup_us} must lie in "
-                             f"[0, duration_us {self.duration_us})")
+        # the metrics divide by the config's window, which validate checks
+        self.config.validate()
         # the station, outcome and mode columns are range-checked before
         # their casts
         station, outcome, mode = map(np.asarray, (self.station, self.outcome,
@@ -94,9 +89,13 @@ class TraceLog:
         if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):
             raise ValueError(f"trace columns must be 1-D and equally long, "
                              f"got shapes {shapes}")
-        for name, column, count in (("station", station, self.n_stations),
-                                    ("outcome", outcome, len(OUTCOMES)),
-                                    ("mode", mode, len(MODES))):
+        # the metrics take their window as one slice of the start column
+        if (self.start[1:] < self.start[:-1]).any():
+            raise ValueError("trace rows must be in start order")
+        for name, column, count in (
+                ("station", station, self.config.n_stations),
+                ("outcome", outcome, len(OUTCOMES)),
+                ("mode", mode, len(MODES))):
             if len(column):
                 lo, hi = column.min(), column.max()
                 if lo < 0 or hi >= count:
@@ -107,9 +106,9 @@ class TraceLog:
         self.mode = mode.astype(np.int8, copy=False)
 
     @classmethod
-    def read_csv(cls, path: str | Path, **params) -> TraceLog:
-        """The trace `write_csv` wrote to `path`; `params` are the remaining
-        fields (protocol, n_stations, rate and so on)."""
+    def read_csv(cls, path: str | Path, config: SimConfig) -> TraceLog:
+        """The trace `write_csv` wrote to `path`, of the run `config`
+        describes."""
         with open(path, newline="") as fh:
             reader = csv.reader(fh)
             header = tuple(next(reader, ()))
@@ -118,7 +117,7 @@ class TraceLog:
                                  f"{TRACE_COLUMNS}")
             rows = [(int(i), int(s), int(e), OUTCOME_CODE[Outcome(o)],
                      MODE_CODE[Mode(m)]) for i, s, e, o, m in reader]
-        return cls(**params, **dict(zip(
+        return cls(config, **dict(zip(
             ("station", "start", "end", "outcome", "mode"),
             zip(*rows) if rows else ((),) * 5)))
 

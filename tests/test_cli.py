@@ -81,6 +81,13 @@ def test_duplicate_axis_values_rejected(tmp_path):
         parse_config(path)
 
 
+def test_negative_seed_rejected(tmp_path):
+    # random.Random seeds with |seed|: -4 would repeat seed 4's run
+    path = write(tmp_path / "c.ini", "[experiment]\nseeds = -4 4\n")
+    with pytest.raises(ConfigError, match="seed must be non-negative"):
+        parse_config(path)
+
+
 def test_empty_axis_rejected(tmp_path):
     path = write(tmp_path / "c.ini", "[experiment]\nstations =\n")
     with pytest.raises(ConfigError, match="empty sweep axis"):

@@ -1,4 +1,6 @@
 """Engine tests: busy-period resolution, determinism, timing, and config checks."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -10,11 +12,11 @@ from wlansim.engine import (
     frame_exchange_us,
     run_experiment,
 )
-from wlansim.metrics import steady_state_start
+from wlansim.metrics import compute_report, steady_state_start
 from wlansim.phy import (MAC_OVERHEAD_BYTES, UnsupportedRateError, data_airtime,
                          phy_profile)
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
-from wlansim.schedule import ScheduleRow, ScheduleTable
+from wlansim.schedule import ScheduleRow, ScheduleTable, cycle_timer
 from wlansim.trace import (MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES, Outcome,
                            TraceLog)
 
@@ -37,8 +39,9 @@ def assert_same_trace(a, b):
 
 
 def assert_wellformed(trace):
-    airtime = data_airtime(trace.payload_bytes + MAC_OVERHEAD_BYTES, trace.rate)
-    assert ((0 <= trace.start) & (trace.start < trace.duration_us)).all()
+    cfg = trace.config
+    airtime = data_airtime(cfg.payload_bytes + MAC_OVERHEAD_BYTES, cfg.rate)
+    assert ((0 <= trace.start) & (trace.start < cfg.duration_us)).all()
     assert (trace.end - trace.start == airtime).all()
     # rows are in (start, station) order
     order = np.lexsort((trace.station, trace.start))
@@ -168,12 +171,13 @@ def test_deterministic_cadence_is_exact():
                                           rate=24, duration_s=0.5,
                                           warmup_s=0.05, seed=5))
     assert report.convergence_us is not None
-    assert trace.cycle_us == 3 * 788
+    cycle = cycle_timer(3, 24)
+    assert cycle == 3 * 788
     for i in range(3):
         starts = trace.start[(trace.station == i)
                              & (trace.start >= report.convergence_us)]
         assert len(starts) > 100
-        assert set(np.diff(starts).tolist()) == {trace.cycle_us}
+        assert set(np.diff(starts).tolist()) == {cycle}
     # collisions end at convergence; the last legacy-mode success may come
     # later (a station's first success happens in legacy mode)
     settled_at = steady_state_start(trace)
@@ -190,33 +194,28 @@ def test_tallies_and_overlap_invariants_under_contention():
     assert_wellformed(trace)
 
 
-def params_of(trace):
-    return {k: getattr(trace, k) for k in (
-        "protocol", "n_stations", "rate", "payload_bytes", "duration_us",
-        "warmup_us", "seed", "cycle_us")}
-
-
 def test_trace_csv_round_trip(tmp_path):
     trace, _ = run_experiment(config(n_stations=3, duration_s=0.1,
                                      warmup_s=0.01, seed=4))
     path = tmp_path / "trace.csv"
     trace.write_csv(path)
-    assert_same_trace(TraceLog.read_csv(path, **params_of(trace)), trace)
+    assert_same_trace(TraceLog.read_csv(path, trace.config), trace)
 
 
 def test_trace_survives_read_and_rebuild_byte_for_byte(tmp_path):
     # heavy CCA noise gives every outcome and both modes
-    trace, _ = run_experiment(config(n_stations=4, protocol=ProtocolKind.CF_MAC,
-                                     cca_error_prob=0.5, duration_s=0.2,
-                                     warmup_s=0.02, seed=11))
+    trace, report = run_experiment(config(
+        n_stations=4, protocol=ProtocolKind.CF_MAC, cca_error_prob=0.5,
+        duration_s=0.2, warmup_s=0.02, seed=11))
     assert set(trace.outcome.tolist()) == set(range(len(OUTCOMES)))
     assert set(trace.mode.tolist()) == set(range(len(MODES)))
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
     trace.write_csv(first)
-    back = TraceLog.read_csv(first, **params_of(trace))
+    back = TraceLog.read_csv(first, trace.config)
     assert_same_trace(back, trace)
     back.write_csv(second)
     assert second.read_bytes() == first.read_bytes()
+    assert compute_report(back) == report
 
 
 def test_run_shorter_than_one_attempt_leaves_an_empty_trace(tmp_path):
@@ -233,9 +232,16 @@ def test_run_shorter_than_one_attempt_leaves_an_empty_trace(tmp_path):
         b"station,start_us,end_us,outcome,mode\r\n"
 
 
+def test_trace_carries_its_run_config_unchanged():
+    cfg = config()
+    trace, _ = run_experiment(cfg)
+    assert trace.config is cfg
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.seed = 8
+
+
 def test_report_matches_trace():
     trace, report = run_experiment(config(n_stations=4, rate=24, seed=6))
-    from wlansim.metrics import compute_report
     assert report == compute_report(trace)
 
 
@@ -245,7 +251,7 @@ def test_config_rejections():
     cases = [dict(n_stations=0), dict(duration_s=0.0),
              dict(warmup_s=0.3, duration_s=0.3), dict(warmup_s=-0.1),
              dict(cca_error_prob=1.5), dict(cca_error_prob=-0.1),
-             dict(payload_bytes=0), dict(payload_bytes=2305),
+             dict(payload_bytes=0), dict(payload_bytes=2305), dict(seed=-1),
              # whole microseconds: no run at all, a warmup that rounds up to
              # the end of the run
              dict(duration_s=1e-7, warmup_s=0.0),
@@ -328,7 +334,7 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
         assert_same_trace(fast, oracle)
         settled_at = steady_state_start(oracle)
         if settled_at is not None \
-                and settled_at <= oracle.duration_us - 2 * oracle.cycle_us:
+                and settled_at <= cfg.duration_us - 2 * cycle_timer(n, rate):
             assert any(fired), f"rate {rate} n {n} seed {seed}"
 
 

@@ -14,6 +14,7 @@ from wlansim.metrics import (
     normalized_interarrival,
     steady_state_start,
 )
+from wlansim.engine import ConfigError, SimConfig
 from wlansim.protocols import Mode, ProtocolKind
 from wlansim.trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
@@ -30,12 +31,12 @@ def trace_of(rows, protocol=ProtocolKind.CF_MAC, n_stations=None,
         n_stations = max((r[0] for r in rows), default=0) + 1
     # trace rows are in (start, station) order
     rows = sorted(rows, key=lambda r: (r[1], r[0]))
-    return TraceLog(
-        protocol=protocol, n_stations=n_stations, rate=48,
-        payload_bytes=payload, duration_us=duration_us, warmup_us=warmup_us,
-        seed=1, cycle_us=6300, **dict(zip(
-            ("station", "start", "end", "outcome", "mode"),
-            zip(*rows) if rows else ((),) * 5)))
+    config = SimConfig(n_stations=n_stations, protocol=protocol, rate=48,
+                       payload_bytes=payload, duration_s=duration_us / 1e6,
+                       warmup_s=warmup_us / 1e6)
+    return TraceLog(config, **dict(zip(
+        ("station", "start", "end", "outcome", "mode"),
+        zip(*rows) if rows else ((),) * 5)))
 
 
 # -- throughput ---------------------------------------------------------------
@@ -48,8 +49,8 @@ def test_throughput_thousand_frames_in_a_second():
 
 def test_throughput_counts_starts_inside_window_only():
     t = trace_of([rec(0, 99), rec(0, 100), rec(0, 500), rec(0, 1000)],
-                 duration_us=2000)
-    got = compute_report(t, window=(100, 1000)).per_station_throughput
+                 duration_us=1000, warmup_us=100)
+    got = compute_report(t).per_station_throughput
     # only the starts at 100 and 500 land in [100, 1000)
     assert got == [pytest.approx(2 * 1470 * 8 / 900)]
 
@@ -68,9 +69,9 @@ def test_throughput_respects_warmup_default_window():
 
 
 def test_bad_window_rejected():
-    t = trace_of([rec(0, 0)])
-    with pytest.raises(ValueError):
-        compute_report(t, window=(100, 100))
+    # the window is the config's, so a trace with an empty one is refused
+    with pytest.raises(ConfigError):
+        trace_of([rec(0, 0)], duration_us=100, warmup_us=100)
 
 
 # -- fairness -----------------------------------------------------------------
@@ -251,9 +252,10 @@ def test_compute_report_round_numbers():
 
 def test_compute_report_empty_window_degrades_to_none():
     # the window excludes every record: it starts after them or ends first
-    t = trace_of([rec(0, 200), rec(0, 300)], duration_us=1000)
-    for window in ((500, 1000), (0, 100)):
-        rep = compute_report(t, window=window)
+    for duration_us, warmup_us in ((1000, 500), (100, 0)):
+        rep = compute_report(trace_of([rec(0, 200), rec(0, 300)],
+                                      duration_us=duration_us,
+                                      warmup_us=warmup_us))
         assert rep.per_station_throughput == [0.0]
         assert rep.aggregate_throughput == 0.0
         assert rep.jfi is None

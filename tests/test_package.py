@@ -49,3 +49,15 @@ def test_a_failing_property_test_fails_alone(tmp_path):
     assert "INTERNALERROR" not in output
     assert run.returncode == 1, output
     assert "1 failed, 1 passed" in output.splitlines()[-1], output
+
+
+def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
+    # the Python block of the README's "Library use" section, so the
+    # section cannot drift from the API
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    section = readme.read_text().split("\n## Library use\n", 1)[1]
+    block = section.split("```python\n", 1)[1].split("```", 1)[0]
+    monkeypatch.chdir(tmp_path)
+    exec(compile(block, str(readme), "exec"), {})
+    printed = capsys.readouterr().out.splitlines()
+    assert printed[1:] == ["True", repr(1470 * 8 / 85_000_000)]

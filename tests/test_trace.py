@@ -8,13 +8,12 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wlansim import trace as trace_module
+from wlansim.engine import ConfigError, SimConfig
 from wlansim.protocols import ProtocolKind
 from wlansim.trace import (MODES, OUTCOMES, TRACE_COLUMNS, TraceLog,
                            TransmissionRecord)
 
 INT64 = np.iinfo(np.int64)
-PARAMS = dict(protocol=ProtocolKind.CF_MAC, rate=48, payload_bytes=1470,
-              duration_us=1_000_000, warmup_us=0, seed=1, cycle_us=6300)
 # values where the digit count or the sign changes
 EDGES = sorted({s * v for k in range(19) for v in (10 ** k - 1, 10 ** k)
                 for s in (1, -1)} | {int(INT64.min), int(INT64.max)})
@@ -27,10 +26,21 @@ LABELS = [(0, 10 * k, 10 * k + 5, o, m) for k, (o, m) in enumerate(
     (o, m) for o in range(len(OUTCOMES)) for m in range(len(MODES)))]
 
 
+def config_of(n_stations, duration_us=1_000_000, warmup_us=0):
+    return SimConfig(n_stations=n_stations, protocol=ProtocolKind.CF_MAC,
+                     rate=48, duration_s=duration_us / 1e6,
+                     warmup_s=warmup_us / 1e6)
+
+
+def in_order(rows):
+    """The rows in (start, station) order, the order a trace keeps."""
+    return sorted(rows, key=lambda r: (r[1], r[0]))
+
+
 def trace_of(rows, n_stations):
-    return TraceLog(n_stations=n_stations, **PARAMS,
+    return TraceLog(config_of(n_stations),
                     **dict(zip(("station", "start", "end", "outcome", "mode"),
-                               zip(*rows) if rows else ((),) * 5)))
+                               zip(*in_order(rows)) if rows else ((),) * 5)))
 
 
 def csv_writer_bytes(rows):
@@ -53,7 +63,7 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
     path = tmp_path / "t.csv"
     n_stations = max((r[0] for r in rows), default=0) + 1
     trace_of(rows, n_stations).write_csv(path)
-    assert path.read_bytes() == csv_writer_bytes(rows)
+    assert path.read_bytes() == csv_writer_bytes(in_order(rows))
 
 
 @pytest.mark.parametrize("columns", [
@@ -66,13 +76,13 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
 ])
 def test_malformed_columns_rejected(columns):
     with pytest.raises(ValueError, match="1-D and equally long"):
-        TraceLog(n_stations=2, **PARAMS, **columns)
+        TraceLog(config_of(2), **columns)
 
 
 @pytest.mark.parametrize("station", [-1, 2, 2 ** 40])
 def test_constructor_rejects_unknown_stations(station):
     with pytest.raises(ValueError, match=f"station {station} outside 0..1"):
-        TraceLog(n_stations=2, **PARAMS, station=[0, station, 1],
+        TraceLog(config_of(2), station=[0, station, 1],
                  start=[0, 10, 20], end=[5, 15, 25], outcome=[0, 0, 0],
                  mode=[0, 0, 0])
 
@@ -86,24 +96,40 @@ def test_constructor_rejects_unknown_codes(column, code, count):
     columns[column][1] = code
     with pytest.raises(ValueError,
                        match=f"{column} {code} outside 0..{count - 1}"):
-        TraceLog(n_stations=2, **PARAMS, **columns)
+        TraceLog(config_of(2), **columns)
 
 
 @pytest.mark.parametrize("duration_us,warmup_us", [
     (100, 100), (100, 250), (100, -1), (0, 0)])
 def test_window_must_leave_a_measured_span(duration_us, warmup_us, tmp_path):
-    # compute_report divides by duration_us - warmup_us
-    params = {**PARAMS, "duration_us": duration_us, "warmup_us": warmup_us}
-    with pytest.raises(ValueError, match="warmup_us"):
-        TraceLog(n_stations=2, **params)
+    # compute_report divides by duration_us - warmup_us; a trace is refused
+    # whatever its config's validate refuses
+    config = config_of(2, duration_us, warmup_us)
+    with pytest.raises(ConfigError):
+        TraceLog(config)
     path = tmp_path / "t.csv"
     trace_of([], 2).write_csv(path)
-    with pytest.raises(ValueError, match="warmup_us"):
-        TraceLog.read_csv(path, n_stations=2, **params)
+    with pytest.raises(ConfigError):
+        TraceLog.read_csv(path, config)
 
 
 def test_window_of_one_microsecond_is_accepted():
-    TraceLog(n_stations=2, **{**PARAMS, "duration_us": 100, "warmup_us": 99})
+    TraceLog(config_of(2, duration_us=100, warmup_us=99))
+
+
+def test_rows_out_of_start_order_rejected(tmp_path):
+    # a later row may share its start, but not start earlier
+    columns = dict(station=[1, 0, 0], start=[10, 10, 20], end=[15, 15, 25],
+                   outcome=[0, 0, 0], mode=[0, 0, 0])
+    TraceLog(config_of(2), **columns)
+    columns["start"] = [10, 20, 10]
+    with pytest.raises(ValueError, match="start order"):
+        TraceLog(config_of(2), **columns)
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n"
+                     b"0,20,25,success,legacy\r\n0,10,15,success,legacy\r\n")
+    with pytest.raises(ValueError, match="start order"):
+        TraceLog.read_csv(path, config_of(2))
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -116,7 +142,7 @@ def test_read_csv_inverts_write_csv(rows, tmp_path):
     n_stations = max((r[0] for r in rows), default=0) + 1
     trace = trace_of(rows, n_stations)
     trace.write_csv(first)
-    back = TraceLog.read_csv(first, n_stations=n_stations, **PARAMS)
+    back = TraceLog.read_csv(first, config_of(n_stations))
     for name in ("station", "start", "end", "outcome", "mode"):
         column = getattr(back, name)
         assert column.dtype == getattr(trace, name).dtype, name
@@ -135,7 +161,7 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text)
     with pytest.raises(ValueError, match="trace header"):
-        TraceLog.read_csv(path, n_stations=2, **PARAMS)
+        TraceLog.read_csv(path, config_of(2))
 
 
 @pytest.mark.parametrize("row", [
@@ -147,7 +173,7 @@ def test_read_csv_rejects_malformed_rows(tmp_path, row):
     path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
                      + b"\r\n")
     with pytest.raises(ValueError):
-        TraceLog.read_csv(path, n_stations=2, **PARAMS)
+        TraceLog.read_csv(path, config_of(2))
 
 
 def test_records_view_matches_the_columns():
