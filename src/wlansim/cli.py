@@ -13,7 +13,6 @@ import configparser
 import csv
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -305,6 +304,8 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
     # no more workers than cells; one worker runs in this process
     workers = min(jobs, len(jobs_list))
     if workers > 1:
+        # imported here, so a plan run in-process never loads the pool
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_execute, jobs_list))
     else:

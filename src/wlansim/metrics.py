@@ -82,19 +82,43 @@ def loss_fraction(failures: int, successes: int) -> float:
     return failures / attempts
 
 
-def _gap_stats(n: int, station: np.ndarray,
+def _gap_stats(n: int, count: np.ndarray, station: np.ndarray,
                start: np.ndarray) -> dict[int, IatStats | None]:
-    # a stable sort by station keeps each station's attempts in trace order
-    order = np.argsort(station, kind="stable")
-    bounds = np.cumsum(np.bincount(station, minlength=n))[:-1]
-    out: dict[int, IatStats | None] = {}
-    for i, starts in enumerate(np.split(start[order], bounds)):
-        if len(starts) < 2:
-            out[i] = None
-            continue
-        gaps = np.diff(starts)
-        out[i] = IatStats(mean=float(gaps.mean()), std=float(gaps.std()),
-                          min=float(gaps.min()), max=float(gaps.max()))
+    valid = np.flatnonzero(count >= 2)
+    out: dict[int, IatStats | None] = dict.fromkeys(range(n))
+    if not len(valid):
+        return out
+    # a stable sort by station keeps each station's attempts in trace order;
+    # on keys of 16 bits or fewer numpy's stable sort is a radix sort
+    key = station.astype(np.int16) if n <= 0x7FFF else station
+    order = np.argsort(key, kind="stable")
+    del key
+    gaps = start[order]
+    del order
+    # station i's rows are [lo_i, lo_i + count_i) and its gaps [lo_i, hi_i),
+    # hi_i = lo_i + count_i - 1; the gap at hi_i crosses into the next
+    # station and is never read
+    gaps[:-1] = gaps[1:] - gaps[:-1]
+    lo = (np.cumsum(count) - count)[valid]
+    size = count[valid] - 1
+    hi = lo + size
+    # reduceat at [lo_0, hi_0, lo_1, hi_1, ...]: the even results are wanted
+    bounds = np.stack((lo, hi), axis=1).ravel()
+    total, low, high = (f.reduceat(gaps, bounds)[::2]
+                        for f in (np.add, np.minimum, np.maximum))
+    # an integer sum below 2**53 is an exact float, so this is ndarray.mean
+    mean = total / size
+    # ndarray.std sums pairwise, which reduceat does not: one sum a station
+    dev = gaps.astype(np.float64)
+    del gaps
+    # each station's mean on each of its rows (0 on the other rows)
+    dev -= np.repeat(np.bincount(valid, mean, n), count)
+    dev *= dev
+    std = np.sqrt([np.add.reduce(dev[a:b])
+                   for a, b in zip(lo.tolist(), hi.tolist())] / size)
+    out.update(zip(valid.tolist(), map(
+        IatStats, mean.tolist(), std.tolist(), low.astype(float).tolist(),
+        high.astype(float).tolist())))
     return out
 
 
@@ -157,7 +181,8 @@ def compute_report(trace: TraceLog) -> MetricsReport:
     n = config.n_stations
     wins = np.bincount(station[trace.outcome[inside] == _SUCCESS],
                        minlength=n).tolist()
-    attempts = np.bincount(station, minlength=n).tolist()
+    count = np.bincount(station, minlength=n)
+    attempts = count.tolist()
     # bits per microsecond is numerically Mb/s
     throughput = [c * config.payload_bytes * 8 / (hi - lo) for c in wins]
     try:
@@ -175,7 +200,7 @@ def compute_report(trace: TraceLog) -> MetricsReport:
         aggregate_throughput=float(sum(throughput)),
         jfi=fairness,
         min_max_ratio=ratio,
-        interarrival=_gap_stats(n, station, trace.start[inside]),
+        interarrival=_gap_stats(n, count, station, trace.start[inside]),
         per_station_loss=[None if a == 0 else loss_fraction(a - w, w)
                           for w, a in zip(wins, attempts)],
         aggregate_loss=aggregate_loss,

@@ -82,8 +82,11 @@ class TraceLog:
         # their casts
         station, outcome, mode = map(np.asarray, (self.station, self.outcome,
                                                   self.mode))
-        self.start = np.asarray(self.start, dtype=np.int64)
-        self.end = np.asarray(self.end, dtype=np.int64)
+        try:
+            self.start = np.asarray(self.start, dtype=np.int64)
+            self.end = np.asarray(self.end, dtype=np.int64)
+        except OverflowError as exc:
+            raise ValueError(f"trace times must fit in int64: {exc}") from None
         shapes = [c.shape for c in (station, self.start, self.end, outcome,
                                     mode)]
         if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):

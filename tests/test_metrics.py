@@ -1,8 +1,9 @@
 """Metrics unit tests on hand-built traces with hand-computed expectations."""
 import math
 
+import numpy as np
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wlansim.metrics import (
     IatStats,
@@ -141,6 +142,69 @@ def test_interarrival_needs_two_attempts():
     t = trace_of([rec(0, 0), rec(1, 100)], duration_us=1000)
     got = compute_report(t).interarrival
     assert got[0] is None and got[1] is None
+
+
+def reference_interarrival(trace):
+    """Per-station gaps the plain way: one np.diff per station."""
+    config = trace.config
+    starts = {i: [] for i in range(config.n_stations)}
+    for i, s in zip(trace.station.tolist(), trace.start.tolist()):
+        if config.warmup_us <= s < config.duration_us:
+            starts[i].append(s)
+    out = dict.fromkeys(starts)
+    for i, row in starts.items():
+        if len(row) >= 2:
+            gaps = np.diff(np.array(row, dtype=np.int64))
+            out[i] = IatStats(mean=float(gaps.mean()), std=float(gaps.std()),
+                              min=float(gaps.min()), max=float(gaps.max()))
+    return out
+
+
+@st.composite
+def station_traces(draw):
+    # windows up to 2**53 us, where an integer gap sum is exact in a float
+    n = draw(st.integers(1, 6))
+    duration = draw(st.sampled_from([1_000, 10**6, 2**53]))
+    warmup = draw(st.integers(0, duration // 2))
+    starts = st.one_of(st.integers(0, duration + 10), st.integers(0, 40))
+    rows = draw(st.lists(st.tuples(st.integers(0, n - 1), starts),
+                         max_size=60))
+    return n, duration, warmup, rows
+
+
+# station 0 gaps 1, station 1 gaps 3 and 4, station 2 nothing: each gap across
+# a station boundary (998 and -1003) is larger or smaller than every real gap
+@example(case=(3, 10_000, 0, [(0, 0), (0, 1), (0, 2), (1, 1000), (1, 1003),
+                              (1, 1007), (2, 4)]))
+# above 2**15 - 1 stations the sort key stays int32
+@example(case=(40_000, 10**6, 0, [(0, 5), (32_768, 1), (39_999, 2), (0, 9),
+                                  (32_768, 7), (39_999, 3), (32_767, 4)]))
+# nine gaps whose squared deviations sum to another float in order than
+# pairwise, as ndarray.std sums
+@example(case=(2, 10_000, 0, [(1, 7), (1, 9)] + [
+    (0, s) for s in (0, 765, 1494, 2340, 2516, 2606, 3469, 3492, 4033, 4114)]))
+@example(case=(2, 1_000, 0, []))
+@given(case=station_traces())
+@settings(deadline=None)  # the 40,000-station report is slow on a busy host
+def test_interarrival_matches_a_per_station_diff(case):
+    n, duration, warmup, rows = case
+    t = trace_of([rec(i, s) for i, s in rows], n_stations=n,
+                 duration_us=duration, warmup_us=warmup)
+    got, want = compute_report(t).interarrival, reference_interarrival(t)
+    # station by station, so a failure names stations instead of diffing
+    # two reprs of n entries
+    assert list(got) == list(want)
+    assert [i for i in want if repr(got[i]) != repr(want[i])] == []
+
+
+def test_interarrival_mean_beyond_float_integers():
+    # past 2**53 us a float sum of the gaps rounds at each step (ndarray.mean
+    # reads 6.244991483287087e+17 here); the mean is the exact integer sum,
+    # as a float, over the count
+    last = 2**60 + 2**58 + 3 * 2**57 + 134
+    t = trace_of([rec(0, s) for s in (0, 2**60 + 1, 2**60 + 2**58 + 67, last)],
+                 duration_us=2**62)
+    assert compute_report(t).interarrival[0].mean == float(last) / 3
 
 
 def test_normalized_interarrival():

@@ -1,4 +1,5 @@
 import ast
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -61,3 +62,20 @@ def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
     exec(compile(block, str(readme), "exec"), {})
     printed = capsys.readouterr().out.splitlines()
     assert printed[1:] == ["True", repr(1470 * 8 / 85_000_000)]
+
+
+def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
+    # a plan run in-process never pays for the pool's import; a fresh
+    # interpreter, since this one may have imported it already
+    plan = tmp_path / "plan.ini"
+    plan.write_text("[experiment]\nduration = 0.2\nwarmup = 0.02\n")
+    code = ("import sys\n"
+            "import wlansim.cli\n"
+            "wlansim.cli.parse_config(sys.argv[1])\n"
+            "print('concurrent.futures.process' in sys.modules)\n")
+    src = str(Path(wlansim.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", code, str(plan)],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "False\n"

@@ -167,7 +167,8 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
 @pytest.mark.parametrize("row", [
     b"0,10,15,lost,legacy", b"0,10,15,success,burst", b"0,10,15,success",
     b"0,10,15,success,legacy,1", b"0,ten,15,success,legacy",
-    b"2,10,15,success,legacy"])
+    b"2,10,15,success,legacy", b"0,99999999999999999999,15,success,legacy",
+    b"0,10,-99999999999999999999,success,legacy"])
 def test_read_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "t.csv"
     path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
