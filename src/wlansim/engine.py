@@ -32,18 +32,19 @@ at it start transmitting (ties across the grid, the deadlines and the
 off-grid stations are all due), and resolves the busy period that follows:
 data frames that overlap in time form one collision, a lone frame is a
 success and its ACK arrives SIFS after it ends. Frames that start together
-need no classifier: one succeeds, more collide. Only after a station joins
-mid-air on a false-idle CCA sample (below) does one pass in start order
-(`_resolve`) classify them: all last the same airtime, so a frame overlaps
-the group before it exactly when it starts less than one frame after the
-previous one. Outcomes are applied at the channel-release instant in
-station order, and each attempt's row of four int64 (station, start,
-outcome, mode) goes to one array('q') buffer with its outcome; after a
-joiner, whose start order is not station order, the rows go first and the
-outcomes are sorted. Every frame ends one airtime after its start, so the
-end column is filled once, after the run. The ACK timeout is folded into
-the release rather than modeled as a separate observable, which keeps
-every legacy station on one shared post-busy slot grid.
+need no classifier: one succeeds, more collide. A station that joins
+mid-air on a false-idle CCA sample (below) is classified against the last
+frame alone (`_join`): all frames last the same airtime and none starts
+before the last, so a joiner overlaps an earlier frame exactly when it
+starts less than one frame after the last one. Outcomes are applied at the
+channel-release instant in station order, and each attempt's row of four
+int64 (station, start, outcome, mode) goes to one array('q') buffer with
+its outcome; after a joiner, whose start order is not station order, the
+rows go first and the outcomes are sorted. Every frame ends one airtime
+after its start, so the end column is filled once, after the run. The ACK
+timeout is folded into the release rather than modeled as a separate
+observable, which keeps every legacy station on one shared post-busy slot
+grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -51,6 +52,11 @@ Channel occupancy is bookkept conservatively:
                                                 medium end to end
   collision  [tx_start, data_end + DIFS)        wreckage plus an EIFS-style
                                                 penalty
+
+A mid-air joiner never brings the release forward: one that wrecks a lone
+success leaves the channel busy until the later of the success's data_end +
+SIFS + ACK and its own data_end + DIFS, so such a collision can hold the
+channel up to SIFS + ACK - DIFS longer than the rule above.
 
 A deterministic deadline that falls inside a busy period is probed at the
 deadline instant against this bookkept state: the station holds for up to
@@ -70,8 +76,9 @@ cca_error_prob at exactly two kinds of instants: deadline probes and
 reduced-backoff fire instants. Legacy slot sensing is always faithful. A
 false-idle sample during someone else's data frame produces a staggered
 overlap, recorded as CcaError for the sampler and Collision for its
-victims; a false-idle sample landing in a busy tail that no data frame
-covers goes through clean and is recorded as a Success.
+victims (CcaError for a victim that joined mid-air itself); a false-idle
+sample landing in a busy tail that no data frame covers goes through clean
+and is recorded as a Success.
 
 A broken engine invariant (an event in the past, a backoff that ran out
 unnoticed on or off the grid, a deadline before the release that follows
@@ -170,47 +177,28 @@ def frame_exchange_us(rate: int, payload_bytes: int) -> int:
     return data + profile.sifs + ack_airtime(profile)
 
 
-def cca_sample(truly_idle: bool, rng: RandomSource, error_prob: float) -> bool:
-    """Observed channel state: the truth, flipped with probability error_prob.
+def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
+          i: int, data_us: int, sifs_ack_us: int, difs_us: int) -> int:
+    """Append station i's mid-air frame to the busy period that began at t0.
 
-    With error_prob = 0 no randomness is consumed, so error-free runs keep
-    the same draw sequence no matter how often the channel is sensed.
+    `txs` holds the (start, station) pair of every frame so far, `codes`
+    their outcome codes (indices into OUTCOMES); `start` is at or after the
+    last start. Every frame lasts data_us, so the joiner overlaps an earlier
+    frame exactly when it overlaps the last one. Then the joiner is a
+    CcaError, the last frame a Collision if it started at t0 and a CcaError
+    if it joined mid-air too, and their group holds the channel to the
+    joiner's end + DIFS. Otherwise the joiner is a lone Success, released at
+    its end + SIFS + ACK. Returns that release.
     """
-    if error_prob <= 0.0:
-        return truly_idle
-    if rng.chance(error_prob):
-        return not truly_idle
-    return truly_idle
-
-
-def _resolve(txs: list[tuple[int, int]], flip_joins: set[int], data_us: int,
-             sifs_ack_us: int, difs_us: int) -> tuple[list[int], int]:
-    """Outcome codes of one busy period's frames, and its release instant.
-
-    `txs` holds the (start, station) pair of every frame in ascending order,
-    and every frame lasts data_us. Frames that overlap in time form one
-    group; as they are equally long, a frame joins the group of the frame
-    before it exactly when it starts less than data_us after that frame. A
-    lone frame is a Success; a frame in a larger group is a Collision, or a
-    CcaError for a station in `flip_joins` (it started on a false-idle CCA
-    sample). Codes index OUTCOMES and follow the order of `txs`.
-
-    The channel reads idle again at the latest group end plus that group's
-    tail: SIFS + ACK after a success, DIFS after a collision.
-    """
-    codes = [_SUCCESS] * len(txs)
-    release = 0
-    for k, (start, i) in enumerate(txs):
-        end = start + data_us
-        if k and start < txs[k - 1][0] + data_us:
-            j = txs[k - 1][1]
-            codes[k - 1] = _CCA_ERROR if j in flip_joins else _COLLISION
-            codes[k] = _CCA_ERROR if i in flip_joins else _COLLISION
-        if k + 1 == len(txs) or txs[k + 1][0] >= end:
-            # the last frame of its group, whose end is this frame's end
-            tail = sifs_ack_us if codes[k] == _SUCCESS else difs_us
-            release = max(release, end + tail)
-    return codes, release
+    end = start + data_us
+    last = txs[-1][0]
+    txs.append((start, i))
+    if start < last + data_us:
+        codes[-1] = _COLLISION if last == t0 else _CCA_ERROR
+        codes.append(_CCA_ERROR)
+        return end + difs_us
+    codes.append(_SUCCESS)
+    return end + sifs_ack_us
 
 
 def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
@@ -301,8 +289,8 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     put = rows.extend
     heappop, heappush = heapq.heappop, heapq.heappush
     # per-period scratch, cleared as a period starts: non-transmitters to
-    # file after it, flipped stations that hold, stations that join mid-air
-    moved, flip_holders, flip_joins = set(), [], set()
+    # file after it, flipped stations that hold
+    moved, flip_holders = set(), []
     tail = None
     converge = not p_err and config.protocol is ProtocolKind.CF_MAC
     clock = 0
@@ -356,10 +344,9 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
         txs: list[tuple[int, int]] = []  # (start, station) of every frame
         moved.clear()
         flip_holders.clear()
-        flip_joins.clear()
         for i in winners:
             if p_err and states[i].phase in (DEADLINE, REDUCED) \
-                    and not cca_sample(True, rng, p_err):
+                    and rng.chance(p_err):
                 moved.add(i)
                 probe_busy(states[i], t_next, rng)
                 if states[i].phase == HOLD:
@@ -431,14 +418,12 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             if due[i] is not entry:
                 continue
             due[i] = None
-            if phase != HOLD and cca_sample(False, rng, p_err):
+            if phase != HOLD and p_err and rng.chance(p_err):
                 # phantom idle: transmit into the ongoing traffic; a joiner
-                # can turn a success into a collision, whose tail is shorter
-                txs.append((tme, i))
-                flip_joins.add(i)
-                codes, grown = _resolve(txs, flip_joins, data_us,
-                                        sifs_ack_us, difs)
-                free_at = max(free_at, grown)
+                # that wrecks a lone success keeps the success's release
+                # where it is later than the wreck's
+                free_at = max(free_at, _join(txs, codes, t0, tme, i, data_us,
+                                             sifs_ack_us, difs))
                 continue
             moved.add(i)
             probe_busy(states[i], tme, rng)
@@ -449,9 +434,11 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
 
         # outcomes in station order, each row (with the mode its frame was
         # sent in) written with its outcome; after a joiner `txs` is not in
-        # station order, so its rows go out first and the outcomes sorted
+        # station order, so its rows go out first and the outcomes sorted;
+        # only a joiner starts after t0
+        joined = txs[-1][0] != t0
         outcomes = zip(txs, codes)
-        if flip_joins:
+        if joined:
             outcomes = list(outcomes)
             for (start, i), code in outcomes:
                 put((i, start, code,
@@ -459,7 +446,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
             outcomes.sort(key=lambda o: o[0][1])
         for (start, i), code in outcomes:
             st = states[i]
-            if not flip_joins:
+            if not joined:
                 put((i, start, code,
                      _LEGACY if st.phase == BACKOFF else _DETERMINISTIC))
             if code == _SUCCESS:

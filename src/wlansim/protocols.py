@@ -86,11 +86,6 @@ class StationState:
     deadline: int | None = None  # absolute [us], set only in Deterministic mode
     phase: int = BACKOFF
 
-    @property
-    def mode(self) -> Mode:
-        """Legacy exactly in the BACKOFF phase."""
-        return Mode.LEGACY if self.phase == BACKOFF else Mode.DETERMINISTIC
-
 
 def initial_station(kind: ProtocolKind, rng: RandomSource) -> StationState:
     """A freshly powered station: legacy mode, stage 0, random counter."""

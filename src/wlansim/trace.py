@@ -50,6 +50,9 @@ MODES = tuple(Mode)        # mode code k is MODES[k]
 OUTCOME_CODE = {o: k for k, o in enumerate(OUTCOMES)}
 MODE_CODE = {m: k for k, m in enumerate(MODES)}
 _ROWS_PER_WRITE = 1 << 10  # bounds the text held in memory while writing
+# each column's dtype, in the order of TRACE_COLUMNS
+_DTYPES = {"station": np.int32, "start": np.int64, "end": np.int64,
+           "outcome": np.int8, "mode": np.int8}
 
 
 @dataclass(frozen=True)
@@ -78,35 +81,33 @@ class TraceLog:
     def __post_init__(self) -> None:
         # the metrics divide by the config's window, which validate checks
         self.config.validate()
-        # the station, outcome and mode columns are range-checked before
-        # their casts
-        station, outcome, mode = map(np.asarray, (self.station, self.outcome,
-                                                  self.mode))
-        try:
-            self.start = np.asarray(self.start, dtype=np.int64)
-            self.end = np.asarray(self.end, dtype=np.int64)
-        except OverflowError as exc:
-            raise ValueError(f"trace times must fit in int64: {exc}") from None
-        shapes = [c.shape for c in (station, self.start, self.end, outcome,
-                                    mode)]
+        raw = {name: np.asarray(getattr(self, name)) for name in _DTYPES}
+        shapes = [c.shape for c in raw.values()]
         if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):
             raise ValueError(f"trace columns must be 1-D and equally long, "
                              f"got shapes {shapes}")
+        # a non-empty column must hold integers (the () default is float64),
+        # the codes must be in range, and no cast may change a value
+        counts = {"station": self.config.n_stations, "outcome": len(OUTCOMES),
+                  "mode": len(MODES)}
+        for name, dtype in _DTYPES.items():
+            given = raw[name]
+            if len(given) and given.dtype.kind not in "iu":
+                raise ValueError(f"trace {name} must hold integers, got "
+                                 f"dtype {given.dtype}")
+            if len(given) and name in counts:
+                lo, hi = given.min(), given.max()
+                if lo < 0 or hi >= counts[name]:
+                    raise ValueError(f"{name} {lo if lo < 0 else hi} outside "
+                                     f"0..{counts[name] - 1}")
+            column = given.astype(dtype, copy=False)
+            if not np.can_cast(given.dtype, dtype) and (column != given).any():
+                raise ValueError(f"trace {name} values must fit in "
+                                 f"{np.dtype(dtype)}")
+            setattr(self, name, column)
         # the metrics take their window as one slice of the start column
         if (self.start[1:] < self.start[:-1]).any():
             raise ValueError("trace rows must be in start order")
-        for name, column, count in (
-                ("station", station, self.config.n_stations),
-                ("outcome", outcome, len(OUTCOMES)),
-                ("mode", mode, len(MODES))):
-            if len(column):
-                lo, hi = column.min(), column.max()
-                if lo < 0 or hi >= count:
-                    raise ValueError(f"{name} {lo if lo < 0 else hi} outside "
-                                     f"0..{count - 1}")
-        self.station = station.astype(np.int32, copy=False)
-        self.outcome = outcome.astype(np.int8, copy=False)
-        self.mode = mode.astype(np.int8, copy=False)
 
     @classmethod
     def read_csv(cls, path: str | Path, config: SimConfig) -> TraceLog:

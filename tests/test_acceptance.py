@@ -23,7 +23,6 @@ from wlansim.protocols import (
     MAX_BACKOFF_STAGE,
     MAX_RETRIES,
     REDUCED,
-    Mode,
     ProtocolKind,
     RandomSource,
     count_down,
@@ -285,7 +284,7 @@ def _check_state(st):
     assert 0 <= st.ret < MAX_RETRIES
     assert st.consec_failures in (0, 1)
     assert st.busy_probes in (0, 1)
-    if st.mode is Mode.DETERMINISTIC:
+    if st.phase != BACKOFF:
         assert st.kind is ProtocolKind.CF_MAC
         assert st.deadline is not None
     else:
@@ -295,7 +294,7 @@ def _check_state(st):
 def _fuzz_step(state, rng, cycle_us):
     # one transition of the rules the engine runs, applied in place
     tx = rng.next_uniform(0, 10 ** 6)
-    if state.mode is Mode.LEGACY:
+    if state.phase == BACKOFF:
         op = rng.next_uniform(0, 3)
         if op == 0:
             count_down(state, 1)

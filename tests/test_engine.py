@@ -1,9 +1,8 @@
-"""Engine tests: busy-period resolution, determinism, timing, and config checks."""
+"""Engine tests: mid-air joiners, determinism, timing, and config checks."""
 import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
 from wlansim import engine
 from wlansim.engine import (
@@ -54,62 +53,35 @@ def assert_wellformed(trace):
     assert not (overlap & (success[:-1] | success[1:])).any()
 
 
-# -- busy-period resolution ---------------------------------------------------
+# -- mid-air joiners ----------------------------------------------------------
 
-DATA, SIFS_ACK, DIFS = 500, 60, 30
+DATA, SIFS_ACK, DIFS, T0 = 500, 60, 30, 100
+LONE = ([(T0, 0)], [S])             # a lone success started at t0
+PAIR = ([(T0, 0), (T0, 1)], [C, C])  # a collision started at t0
 
 
-@pytest.mark.parametrize("txs, flips, codes, release", [
-    pytest.param([], set(), [], 0, id="empty"),
-    pytest.param([(100, 0)], set(), [S], 600 + SIFS_ACK, id="lone_success"),
-    pytest.param([(100, 0), (100, 1)], set(), [C, C], 600 + DIFS,
-                 id="simultaneous_starts_collide"),
-    pytest.param([(100, 0), (400, 1)], set(), [C, C], 900 + DIFS,
-                 id="staggered_overlap_collides"),
-    # half-open frames: ending exactly when the next starts is no overlap
-    pytest.param([(100, 0), (600, 1)], set(), [S, S], 1100 + SIFS_ACK,
+@pytest.mark.parametrize("before, start, codes, release", [
+    # a joiner during a lone success's data frame wrecks it: the victim
+    # collides, the joiner is blamed on its CCA, and the pair releases at
+    # the joiner's end plus DIFS
+    pytest.param(LONE, 300, [C, E], 800 + DIFS, id="joiner_wrecks_success"),
+    # no data frame is on the air in the SIFS + ACK tail: a clean success
+    pytest.param(LONE, 620, [S, S], 1120 + SIFS_ACK, id="success_tail"),
+    # half-open frames: starting exactly when the last one ends is no overlap
+    pytest.param(LONE, 600, [S, S], 1100 + SIFS_ACK,
                  id="back_to_back_is_clean"),
-    # 850 overlaps only the second frame, yet joins the whole group
-    pytest.param([(0, 0), (400, 1), (850, 2)], set(), [C, C, C], 1350 + DIFS,
-                 id="chained_component"),
-    pytest.param([(0, 0), (100, 1), (700, 2)], set(), [C, C, S],
-                 1200 + SIFS_ACK, id="mixed_groups"),
-    # a station that started on a false-idle sample is blamed on its CCA;
-    # the frame it hit is a plain collision, and a lone flip-joined frame
-    # (landing after every data frame ended) still succeeds
-    pytest.param([(100, 0), (400, 1), (1000, 2)], {1, 2}, [C, E, S],
-                 1500 + SIFS_ACK, id="flip_joiner_is_a_cca_error"),
-    # a joiner in the SIFS + ACK tail of a lone success succeeds too and
-    # moves the release one frame exchange past its own start
-    pytest.param([(100, 0), (620, 1)], {1}, [S, S], 1120 + SIFS_ACK,
-                 id="tail_joiner_extends_lone_success"),
-    # a joiner during the data frame turns the success into a collision:
-    # the release is the joiner's end plus DIFS, not SIFS + ACK
-    pytest.param([(100, 0), (300, 1)], {1}, [C, E], 800 + DIFS,
-                 id="joiner_turns_success_into_collision"),
-    # the latest group end sets the release even when it ends with the
-    # shorter tail
-    pytest.param([(0, 0), (0, 1), (525, 2)], set(), [C, C, S],
-                 1025 + SIFS_ACK, id="release_from_last_group"),
+    pytest.param(PAIR, 400, [C, C, E], 900 + DIFS, id="onto_collision"),
+    # an earlier joiner that is hit is blamed on its own CCA sample too
+    pytest.param(([(T0, 0), (620, 1)], [S, S]), 700, [S, E, E], 1200 + DIFS,
+                 id="onto_earlier_joiner"),
+    pytest.param(PAIR, 610, [C, C, S], 1110 + SIFS_ACK, id="collision_tail"),
 ])
-def test_resolve(txs, flips, codes, release):
-    assert engine._resolve(txs, flips, DATA, SIFS_ACK, DIFS) == (codes, release)
-
-
-@given(start=st.integers(0, 10 ** 9),
-       stations=st.lists(st.integers(0, 49), min_size=1, max_size=8,
-                         unique=True).map(sorted),
-       data_us=st.integers(1, 10 ** 4), sifs_ack_us=st.integers(1, 10 ** 3),
-       difs_us=st.integers(1, 10 ** 3))
-def test_resolve_of_one_frame_is_the_inlined_success(start, stations, data_us,
-                                                     sifs_ack_us, difs_us):
-    # run_experiment resolves frames that all start at one instant without
-    # _resolve: one is a success, k >= 2 all collide
-    txs = [(start, i) for i in stations]
-    expected = (([S], start + data_us + sifs_ack_us) if len(txs) == 1
-                else ([C] * len(txs), start + data_us + difs_us))
-    assert engine._resolve(txs, set(), data_us, sifs_ack_us,
-                           difs_us) == expected
+def test_join(before, start, codes, release):
+    txs, got = list(before[0]), list(before[1])
+    assert engine._join(txs, got, T0, start, 9, DATA, SIFS_ACK,
+                        DIFS) == release
+    assert txs == before[0] + [(start, 9)]
+    assert got == codes
 
 
 # -- single station -----------------------------------------------------------
@@ -364,26 +336,6 @@ def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
 
 
 # -- CCA noise ----------------------------------------------------------------
-
-def test_cca_sample_flips_with_its_probability():
-    # a twin source in lockstep shows how many draws each call consumed
-    rng, twin = RandomSource(4), RandomSource(4)
-    for truth in (True, False):
-        assert engine.cca_sample(truth, rng, 0.0) is truth
-    assert rng.next_uniform(0, 10 ** 9) == twin.next_uniform(0, 10 ** 9)
-    for k in range(100):
-        truth = k % 2 == 0
-        assert engine.cca_sample(truth, rng, 1.0) is not truth
-        twin.chance(1.0)
-    flips = 0
-    for k in range(200):
-        truth = k % 3 == 0
-        flipped = twin.chance(0.3)
-        flips += flipped
-        assert engine.cca_sample(truth, rng, 0.3) is (truth is not flipped)
-    assert 0 < flips < 200
-    assert rng.next_uniform(0, 10 ** 9) == twin.next_uniform(0, 10 ** 9)
-
 
 def test_noisy_sensing_run_stays_wellformed():
     trace, report = run_experiment(config(n_stations=4,

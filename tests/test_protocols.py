@@ -4,8 +4,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wlansim.protocols import (BACKOFF, HOLD, REDUCED, CW_MIN, ECA_BACKOFF,
-                               MAX_BACKOFF_STAGE, MAX_RETRIES, Mode,
+from wlansim.protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, CW_MIN,
+                               ECA_BACKOFF, MAX_BACKOFF_STAGE, MAX_RETRIES,
                                ProtocolKind, RandomSource, count_down, fail,
                                initial_station, probe_busy, succeed)
 from wlansim.schedule import cycle_timer
@@ -75,7 +75,7 @@ def test_draw_ranges():
 
 def test_initial_station():
     st_ = fresh(ProtocolKind.CSMA_CA)
-    assert st_.mode is Mode.LEGACY
+    assert st_.phase == BACKOFF
     assert st_.k == 0
     assert 0 <= st_.b <= 15
 
@@ -87,7 +87,7 @@ def test_on_success_csma_ca():
     succeed(st_, 5000, CYCLE, rng)
     assert st_.ret == 0
     assert st_.k == 0 and 0 <= st_.b <= 15
-    assert st_.mode is Mode.LEGACY
+    assert st_.phase == BACKOFF
 
 
 def test_on_success_csma_eca():
@@ -99,7 +99,7 @@ def test_on_success_csma_eca():
 def test_on_success_cfmac():
     st_ = fresh(ProtocolKind.CF_MAC)
     succeed(st_, 10_000, CYCLE, RandomSource(3))
-    assert st_.mode is Mode.DETERMINISTIC
+    assert st_.phase == DEADLINE
     assert st_.deadline == 10_000 + cycle_timer(12, 6) == 37_900
     assert st_.consec_failures == 0 and st_.busy_probes == 0
 
@@ -138,7 +138,7 @@ def test_on_failure_discards_at_retry_limit():
 def test_on_failure_deterministic_stickiness():
     st_ = deterministic()
     fail(st_, 40_000, CYCLE, RandomSource(2))
-    assert st_.mode is Mode.DETERMINISTIC
+    assert st_.phase == DEADLINE
     assert st_.consec_failures == 1
     assert st_.deadline == 40_000 + cycle_timer(12, 6)
 
@@ -146,7 +146,7 @@ def test_on_failure_deterministic_stickiness():
 def test_on_failure_second_collision_reverts():
     st_ = deterministic(consec_failures=1)
     fail(st_, 40_000, CYCLE, RandomSource(2))
-    assert st_.mode is Mode.LEGACY
+    assert st_.phase == BACKOFF
     assert st_.k == 0 and 0 <= st_.b <= 15
     assert st_.deadline is None and st_.consec_failures == 0
 
@@ -206,7 +206,7 @@ def test_probe_actions():
     assert 0 <= det.b <= 6
     assert det.busy_probes == 1
     probe_busy(det, at + 100, rng)  # second busy finding: revert
-    assert det.phase == BACKOFF and det.mode is Mode.LEGACY
+    assert det.phase == BACKOFF
     assert det.k == 0 and 0 <= det.b <= 15
     assert det.deadline is None
 
@@ -259,8 +259,7 @@ def test_transition_sequences_hold_invariants(seed, script):
         assert 0 <= state.k <= MAX_BACKOFF_STAGE
         assert 0 <= state.b <= (CW_MIN << state.k) - 1
         assert 0 <= state.ret <= MAX_RETRIES
-        assert (state.phase == BACKOFF) == (state.mode is Mode.LEGACY)
-        if state.mode is Mode.DETERMINISTIC:
+        if state.phase != BACKOFF:
             assert state.consec_failures < 2 and state.busy_probes < 2
             assert state.deadline is not None
         else:

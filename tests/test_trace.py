@@ -66,16 +66,43 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
     assert path.read_bytes() == csv_writer_bytes(in_order(rows))
 
 
-@pytest.mark.parametrize("columns", [
+def good_columns(**changes):
+    columns = dict(station=[0, 1], start=[1, 2], end=[3, 4], outcome=[0, 2],
+                   mode=[0, 0])
+    columns.update(changes)
+    return columns
+
+
+@pytest.mark.parametrize("columns, match", [
     pytest.param(dict(station=[0, 1, 0], start=[0, 1], end=[5, 6, 7],
-                      outcome=[0, 0], mode=[0]), id="unequal_lengths"),
+                      outcome=[0, 0], mode=[0]), "1-D and equally long",
+                 id="unequal_lengths"),
     pytest.param(dict(station=[[0, 1]], start=[[0, 1]], end=[[5, 6]],
-                      outcome=[[0, 0]], mode=[[0, 0]]), id="two_dimensional"),
+                      outcome=[[0, 0]], mode=[[0, 0]]), "1-D and equally long",
+                 id="two_dimensional"),
     pytest.param(dict(station=0, start=0, end=5, outcome=0, mode=0),
-                 id="scalars"),
+                 "1-D and equally long", id="scalars"),
+    # a cast would truncate these to stations [0, 1] and outcomes [0, 2]
+    pytest.param(good_columns(station=[0.7, 1.9]), "station must hold "
+                 "integers, got dtype float64", id="float_station"),
+    pytest.param(good_columns(outcome=[0.4, 2.5]), "outcome must hold "
+                 "integers", id="float_outcome"),
+    pytest.param(good_columns(start=[1.5, 2.9], end=[3.2, 4.0]),
+                 "start must hold integers", id="float_times"),
+    pytest.param(good_columns(station=[False, True]), "station must hold "
+                 "integers, got dtype bool", id="bool_station"),
+    pytest.param(good_columns(mode=np.array([0, 0], dtype=object)),
+                 "mode must hold integers, got dtype object",
+                 id="object_mode"),
+    # would wrap to INT64_MIN
+    pytest.param(good_columns(start=np.array([1, 2 ** 63], dtype=np.uint64)),
+                 "start values must fit in int64", id="uint64_start"),
+    pytest.param(good_columns(end=np.array([3, 2 ** 64 - 1],
+                                           dtype=np.uint64)),
+                 "end values must fit in int64", id="uint64_end"),
 ])
-def test_malformed_columns_rejected(columns):
-    with pytest.raises(ValueError, match="1-D and equally long"):
+def test_malformed_columns_rejected(columns, match):
+    with pytest.raises(ValueError, match=match):
         TraceLog(config_of(2), **columns)
 
 
