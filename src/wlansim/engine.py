@@ -25,7 +25,9 @@ counting off the grid from an anchor of its own: one that reverts to legacy
 on a CCA flip while nobody transmits (anchor: that instant), or a phantom
 hold that arms a reduced backoff (anchor: the end of the hold). The next
 busy period banks such stations one by one and they rejoin the grid. Both
-heaps drop superseded entries lazily, so one event costs O(log n).
+heaps drop superseded entries lazily, so one event costs O(log n). Only
+CF-MAC leaves the shared grid, so CSMA/CA and CSMA/ECA runs, which never
+probe, hold, flip or join, take `_contend_on_grid`: the grid alone.
 
 The loop repeatedly takes the earliest such instant, lets every station due
 at it start transmitting (ties across the grid, the deadlines and the
@@ -80,9 +82,10 @@ victims (CcaError for a victim that joined mid-air itself); a false-idle
 sample landing in a busy tail that no data frame covers goes through clean
 and is recorded as a Success.
 
-A broken engine invariant (an event in the past, a backoff that ran out
-unnoticed on or off the grid, a deadline before the release that follows
-it) raises RuntimeError; the checks are explicit, so `python -O` keeps them.
+A broken engine invariant (an event in the past or before the DIFS after a
+release, a backoff that ran out unnoticed on or off the grid, a deadline
+before the release that follows it) raises RuntimeError; the checks are
+explicit, so `python -O` keeps them.
 """
 from __future__ import annotations
 
@@ -112,6 +115,7 @@ _COLLISION = OUTCOME_CODE[Outcome.COLLISION]
 _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
+_CF_MAC = ProtocolKind.CF_MAC
 _ROW_DTYPES = (np.int32, np.int64, np.int8, np.int8)
 
 
@@ -253,22 +257,69 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     return columns
 
 
+def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
+                     sifs_ack_us: int, cycle_us: int, states: list,
+                     rng: RandomSource, rows: array) -> None:
+    """`_contend` for runs that never leave the shared grid: the stations
+    under the top key transmit (in station order) and are filed anew."""
+    # a sorted list is a heap; sentinels keep both children of the top
+    grid = sorted((s.b, i) for i, s in enumerate(states)) + [(math.inf, 0)] * 2
+    put, release, banked = rows.extend, 0, 0
+    while True:
+        key, i = grid[0]
+        if key < banked:
+            raise RuntimeError(f"station {i} fired before DIFS")
+        t0 = release + difs + (key - banked) * slot
+        if t0 >= config.duration_us:
+            return
+        banked = key
+        if grid[1][0] != key != grid[2][0]:  # no other entry shares the key
+            put((i, t0, _SUCCESS, _LEGACY))
+            succeed(states[i], t0, cycle_us, rng)
+            heapq.heapreplace(grid, (key + states[i].b, i))
+            release = t0 + data_us + sifs_ack_us
+            continue
+        winners = [heapq.heappop(grid)[1]]
+        while grid[0][0] == key:
+            winners.append(heapq.heappop(grid)[1])
+        for i in winners:
+            put((i, t0, _COLLISION, _LEGACY))
+            fail(states[i], t0, cycle_us, rng)
+            heapq.heappush(grid, (key + states[i].b, i))
+        release = t0 + data_us + difs
+
+
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
     config.validate()
     profile = phy_profile(config.rate)
-    slot, difs = profile.slot, profile.difs
     data_us = data_airtime(config.payload_bytes + MAC_OVERHEAD_BYTES,
                            config.rate)
     sifs_ack_us = profile.sifs + ack_airtime(profile)
+    cycle_us = cycle_timer(config.n_stations, config.rate, config.schedule)
+    rng = RandomSource(config.seed)
+    states = [initial_station(config.protocol, rng)
+              for _ in range(config.n_stations)]
+    rows = array("q")  # station, start, outcome, mode per attempt
+    # only CF-MAC leaves the shared grid (module docstring)
+    contend = _contend if config.protocol is _CF_MAC else _contend_on_grid
+    tail = contend(config, profile.slot, profile.difs, data_us, sifs_ack_us,
+                   cycle_us, states, rng, rows)
+    station, start, outcome, mode = tail or _columns(rows)
+    del rows
+    trace = TraceLog(config, station=station, start=start, end=start + data_us,
+                     outcome=outcome, mode=mode)
+    return trace, compute_report(trace)
+
+
+def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
+             sifs_ack_us: int, cycle_us: int, states: list,
+             rng: RandomSource, rows: array) -> list[np.ndarray] | None:
+    """The general loop: fills `rows`, returns `_periodic_tail`'s columns."""
     hold_us = 2 * slot
     n = config.n_stations
     duration_us = config.duration_us
     p_err = config.cca_error_prob
-    cycle_us = cycle_timer(n, config.rate, config.schedule)
-
-    rng = RandomSource(config.seed)
-    states = [initial_station(config.protocol, rng) for _ in range(n)]
     # virtual idle-slot clock: a station on the shared grid with key K fires
     # at release + DIFS + (K - banked) slots
     release = 0  # [us] instant the channel last went idle
@@ -285,7 +336,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     due: list[tuple[int, int, int] | None] = [None] * n
     loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
-    rows = array("q")  # station, start, outcome, mode per attempt
     put = rows.extend
     heappop, heappush = heapq.heappop, heapq.heappush
     # per-period scratch, cleared as a period starts: non-transmitters to
@@ -482,9 +532,4 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
                                   duration_us, rows)
             if tail is not None:
                 break
-
-    station, start, outcome, mode = tail or _columns(rows)
-    del rows, put
-    trace = TraceLog(config, station=station, start=start, end=start + data_us,
-                     outcome=outcome, mode=mode)
-    return trace, compute_report(trace)
+    return tail

@@ -1,5 +1,11 @@
-"""Engine tests: mid-air joiners, determinism, timing, and config checks."""
+"""Engine tests: mid-air joiners, determinism, timing, config checks, the
+grid-only loop against the general one, and the invariant checks."""
 import dataclasses
+import itertools
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -335,6 +341,96 @@ def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
     assert not any(fired)
 
 
+# -- grid-only loop -----------------------------------------------------------
+
+def on_the_general_loop(monkeypatch):
+    """Make every run take the general loop, the grid-only loop's oracle."""
+    monkeypatch.setattr(engine, "_contend_on_grid", engine._contend)
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 50])
+@pytest.mark.parametrize("rate", [6, 11, 12, 24, 48])
+@pytest.mark.parametrize("protocol",
+                         [ProtocolKind.CSMA_CA, ProtocolKind.CSMA_ECA])
+def test_grid_loop_matches_the_general_loop(monkeypatch, protocol, rate, n):
+    for p_err, seed in itertools.product((0.0, 1.0), (1, 2, 3)):
+        cfg = config(n_stations=n, protocol=protocol, rate=rate,
+                     cca_error_prob=p_err, duration_s=0.3, warmup_s=0.05,
+                     seed=seed)
+        with monkeypatch.context() as m:
+            # the grid-only loop alone, never the general one
+            m.setattr(engine, "_contend", None)
+            fast, fast_report = run_experiment(cfg)
+        with monkeypatch.context() as m:
+            on_the_general_loop(m)
+            oracle, report = run_experiment(cfg)
+        assert len(oracle.start)
+        assert_same_trace(fast, oracle)
+        assert repr(fast_report) == repr(report)
+
+
+# the rules made to break an invariant in a fresh `python -O` process, one
+# line of output per run: the loop it took and how it ended
+INVARIANT_SCRIPT = """
+from wlansim import engine
+from wlansim.engine import SimConfig, run_experiment
+from wlansim.protocols import DEADLINE, ProtocolKind
+
+assert not __debug__, "run with python -O"
+succeed, fail, grid_loop = engine.succeed, engine.fail, engine._contend_on_grid
+
+
+def below_zero(rule, b):
+    def broken(state, *args):
+        rule(state, *args)
+        state.b = b
+    return broken
+
+
+def early_deadline(state, start, *args):
+    succeed(state, start, *args)
+    if state.phase == DEADLINE:
+        state.deadline = start
+
+
+for protocol, general, b in [("CsmaCa", False, -1), ("CsmaEca", False, -1),
+                             ("CsmaCa", False, -1000), ("CsmaCa", True, -1000),
+                             ("CfMac", True, -1000), ("CfMac", True, None)]:
+    engine._contend_on_grid = engine._contend if general else grid_loop
+    if b is None:
+        engine.succeed, engine.fail = early_deadline, fail
+    else:
+        engine.succeed, engine.fail = below_zero(succeed, b), below_zero(fail, b)
+    config = SimConfig(n_stations=12, protocol=ProtocolKind(protocol),
+                       rate=48, duration_s=0.5, warmup_s=0.05)
+    try:
+        trace, _ = run_experiment(config)
+    except RuntimeError as exc:
+        print(protocol, general, b, "RuntimeError", exc)
+    else:
+        print(protocol, general, b, "returned", len(trace.start))
+"""
+
+
+def test_invariant_checks_survive_python_O():
+    # pytest itself cannot run under -O with the project's warning filters,
+    # so a fresh interpreter runs the broken rules
+    src = str(Path(engine.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-O", "-c", INVARIANT_SCRIPT],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    lines = run.stdout.splitlines()
+    assert [line.split(" RuntimeError ")[0] for line in lines] == [
+        "CsmaCa False -1", "CsmaEca False -1", "CsmaCa False -1000",
+        "CsmaCa True -1000", "CfMac True -1000", "CfMac True None"], lines
+    # the grid-only loop rejects any key below the banked slots: an attempt
+    # before DIFS; the general loop finds the attempt before its release
+    assert all(line.endswith("fired before DIFS") for line in lines[:3])
+    assert all("event scheduled in the past" in line for line in lines[3:5])
+    assert "scheduled its deadline" in lines[5]
+
+
 # -- CCA noise ----------------------------------------------------------------
 
 def test_noisy_sensing_run_stays_wellformed():
@@ -358,9 +454,11 @@ def test_certain_flips_still_make_progress():
     assert_wellformed(trace)
 
 
-def test_legacy_sensing_ignores_the_noise_knob():
+def test_legacy_sensing_ignores_the_noise_knob(monkeypatch):
     # slotted carrier sensing is modeled as faithful, so a pure CSMA/CA run
-    # is identical at any error probability
+    # is identical at any error probability; on the general loop, since the
+    # grid-only loop never reads the knob
+    on_the_general_loop(monkeypatch)
     quiet, _ = run_experiment(config(seed=3, duration_s=0.1, warmup_s=0.01))
     noisy, _ = run_experiment(config(seed=3, duration_s=0.1, warmup_s=0.01,
                                      cca_error_prob=1.0))
