@@ -82,10 +82,10 @@ victims (CcaError for a victim that joined mid-air itself); a false-idle
 sample landing in a busy tail that no data frame covers goes through clean
 and is recorded as a Success.
 
-A broken engine invariant (an event in the past or before the DIFS after a
-release, a backoff that ran out unnoticed on or off the grid, a deadline
-before the release that follows it) raises RuntimeError; the checks are
-explicit, so `python -O` keeps them.
+A broken engine invariant (an event in the past, or on `_contend_on_grid`
+before DIFS, a backoff that ran out unnoticed on or off the grid, a
+deadline before the release that follows it) raises RuntimeError; the
+checks are explicit, so `python -O` keeps them.
 """
 from __future__ import annotations
 

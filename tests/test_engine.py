@@ -424,8 +424,9 @@ def test_invariant_checks_survive_python_O():
     assert [line.split(" RuntimeError ")[0] for line in lines] == [
         "CsmaCa False -1", "CsmaEca False -1", "CsmaCa False -1000",
         "CsmaCa True -1000", "CfMac True -1000", "CfMac True None"], lines
-    # the grid-only loop rejects any key below the banked slots: an attempt
-    # before DIFS; the general loop finds the attempt before its release
+    # the grid-only loop rejects any key below the banked slots, an attempt
+    # before DIFS; the general loop only finds an attempt before the
+    # release, hence b = -1000 there (b = -1 passes it unnoticed)
     assert all(line.endswith("fired before DIFS") for line in lines[:3])
     assert all("event scheduled in the past" in line for line in lines[3:5])
     assert "scheduled its deadline" in lines[5]
