@@ -36,17 +36,15 @@ data frames that overlap in time form one collision, a lone frame is a
 success and its ACK arrives SIFS after it ends. Frames that start together
 need no classifier: one succeeds, more collide. A station that joins
 mid-air on a false-idle CCA sample (below) is classified against the last
-frame alone (`_join`): all frames last the same airtime and none starts
-before the last, so a joiner overlaps an earlier frame exactly when it
-starts less than one frame after the last one. Outcomes are applied at the
-channel-release instant in station order, and each attempt's row of four
-int64 (station, start, outcome, mode) goes to one array('q') buffer with
-its outcome; after a joiner, whose start order is not station order, the
-rows go first and the outcomes are sorted. Every frame ends one airtime
-after its start, so the end column is filled once, after the run. The ACK
-timeout is folded into the release rather than modeled as a separate
-observable, which keeps every legacy station on one shared post-busy slot
-grid.
+frame alone (`_join`): every frame lasts `SimConfig.data_us` and none
+starts before the last, so a joiner overlaps an earlier frame exactly when
+it starts less than one frame after the last one. Outcomes are applied at
+the channel-release instant in station order, and each attempt's row of
+four int64 (station, start, outcome, mode) goes to one array('q') buffer
+with its outcome; after a joiner, whose start order is not station order,
+the rows go first and the outcomes are sorted. The ACK timeout is folded
+into the release rather than modeled as a separate observable, which keeps
+every legacy station on one shared post-busy slot grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -82,10 +80,10 @@ victims (CcaError for a victim that joined mid-air itself); a false-idle
 sample landing in a busy tail that no data frame covers goes through clean
 and is recorded as a Success.
 
-A broken engine invariant (an event in the past, or on `_contend_on_grid`
-before DIFS, a backoff that ran out unnoticed on or off the grid, a
-deadline before the release that follows it) raises RuntimeError; the
-checks are explicit, so `python -O` keeps them.
+A broken engine invariant (an event in the past, a grid attempt before
+DIFS, a backoff that ran out unnoticed on or off the grid, a deadline
+before the release that follows it) raises RuntimeError; the checks are
+explicit, so `python -O` keeps them.
 """
 from __future__ import annotations
 
@@ -141,6 +139,11 @@ class SimConfig:
     @property
     def warmup_us(self) -> int:
         return round(self.warmup_s * 1_000_000)
+
+    @property
+    def data_us(self) -> int:
+        """Airtime of every data frame of the run."""
+        return data_airtime(self.payload_bytes + MAC_OVERHEAD_BYTES, self.rate)
 
     def validate(self) -> None:
         if self.n_stations < 1:
@@ -293,8 +296,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
     config.validate()
     profile = phy_profile(config.rate)
-    data_us = data_airtime(config.payload_bytes + MAC_OVERHEAD_BYTES,
-                           config.rate)
     sifs_ack_us = profile.sifs + ack_airtime(profile)
     cycle_us = cycle_timer(config.n_stations, config.rate, config.schedule)
     rng = RandomSource(config.seed)
@@ -303,12 +304,12 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     rows = array("q")  # station, start, outcome, mode per attempt
     # only CF-MAC leaves the shared grid (module docstring)
     contend = _contend if config.protocol is _CF_MAC else _contend_on_grid
-    tail = contend(config, profile.slot, profile.difs, data_us, sifs_ack_us,
-                   cycle_us, states, rng, rows)
+    tail = contend(config, profile.slot, profile.difs, config.data_us,
+                   sifs_ack_us, cycle_us, states, rng, rows)
     station, start, outcome, mode = tail or _columns(rows)
     del rows
-    trace = TraceLog(config, station=station, start=start, end=start + data_us,
-                     outcome=outcome, mode=mode)
+    trace = TraceLog(config, station=station, start=start, outcome=outcome,
+                     mode=mode)
     return trace, compute_report(trace)
 
 
@@ -354,6 +355,8 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
         # drop stale tops, then take the earliest fire instant
         while grid and gkey[grid[0][1]] != grid[0][0]:
             heappop(grid)
+        if grid and grid[0][0] < banked:
+            raise RuntimeError(f"station {grid[0][1]} fired before DIFS")
         while timed and due[timed[0][2]] is not timed[0]:
             heappop(timed)
         t_next = grid_at = (release + difs + (grid[0][0] - banked) * slot

@@ -147,7 +147,7 @@ def convergence_time(trace: TraceLog) -> int | None:
     if trace.config.protocol is ProtocolKind.CF_MAC:
         if not (trace.mode == _DETERMINISTIC).any():
             return None
-    settled_at = int(trace.end[~success].max())
+    settled_at = int(trace.start[~success].max()) + trace.config.data_us
     if not (success & (trace.start >= settled_at)).any():
         return None
     return settled_at
@@ -164,7 +164,8 @@ def steady_state_start(trace: TraceLog) -> int | None:
         return None
     success = trace.outcome == _SUCCESS
     disturbed = ~(success & deterministic)
-    start = int(trace.end[disturbed].max()) if disturbed.any() else 0
+    start = (int(trace.start[disturbed].max()) + trace.config.data_us
+             if disturbed.any() else 0)
     if not (success & (trace.start >= start)).any():
         return None
     return start

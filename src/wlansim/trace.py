@@ -1,11 +1,11 @@
 """Transmission trace: what happened on the channel, one row per attempt.
 
-The trace is held as five parallel numpy columns, from the engine that
-fills them through the metrics to the CSV file: int64 `start` and `end`
+The trace is held as four parallel numpy columns, from the engine that
+fills them through the metrics to the CSV file: int64 `start`
 (microseconds), int32 `station`, and int8 `outcome` and `mode` codes, which
-index OUTCOMES and MODES. Row k of every column describes one attempt;
-rows are in (start, station) order. `TraceLog.read_csv` reads back what
-`TraceLog.write_csv` wrote.
+index OUTCOMES and MODES. Row k of every column describes one attempt,
+whose frame ends at `start + config.data_us`; rows are in (start, station)
+order. `TraceLog.read_csv` reads back what `TraceLog.write_csv` wrote.
 
 `TraceLog.write_csv` formats the rows in numpy, with no Python object per
 row. A chunk of rows is laid out as a (rows, quads) array of little-endian
@@ -50,9 +50,9 @@ MODES = tuple(Mode)        # mode code k is MODES[k]
 OUTCOME_CODE = {o: k for k, o in enumerate(OUTCOMES)}
 MODE_CODE = {m: k for k, m in enumerate(MODES)}
 _ROWS_PER_WRITE = 1 << 10  # bounds the text held in memory while writing
-# each column's dtype, in the order of TRACE_COLUMNS
-_DTYPES = {"station": np.int32, "start": np.int64, "end": np.int64,
-           "outcome": np.int8, "mode": np.int8}
+# each held column's dtype, in the order of TRACE_COLUMNS
+_DTYPES = dict(station=np.int32, start=np.int64, outcome=np.int8, mode=np.int8)
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,6 @@ class TraceLog:
     # the columns; any sequence is converted to an array of its dtype
     station: np.ndarray = ()
     start: np.ndarray = ()
-    end: np.ndarray = ()
     outcome: np.ndarray = ()
     mode: np.ndarray = ()
 
@@ -108,6 +107,8 @@ class TraceLog:
         # the metrics take their window as one slice of the start column
         if (self.start[1:] < self.start[:-1]).any():
             raise ValueError("trace rows must be in start order")
+        if (self.start[-1:] > _INT64_MAX - self.config.data_us).any():
+            raise ValueError("the last frame's end must fit in int64")
 
     @classmethod
     def read_csv(cls, path: str | Path, config: SimConfig) -> TraceLog:
@@ -119,11 +120,13 @@ class TraceLog:
             if header != TRACE_COLUMNS:
                 raise ValueError(f"trace header {header} is not "
                                  f"{TRACE_COLUMNS}")
-            rows = [(int(i), int(s), int(e), OUTCOME_CODE[Outcome(o)],
-                     MODE_CODE[Mode(m)]) for i, s, e, o, m in reader]
-        return cls(config, **dict(zip(
-            ("station", "start", "end", "outcome", "mode"),
-            zip(*rows) if rows else ((),) * 5)))
+            rows = [(int(i), int(s), OUTCOME_CODE[Outcome(o)],
+                     MODE_CODE[Mode(m)], int(e)) for i, s, e, o, m in reader]
+        *columns, ends = zip(*rows) if rows else ((),) * 5
+        trace = cls(config, *columns)
+        if (trace.start + config.data_us).tolist() != list(ends):
+            raise ValueError(f"end_us must be start_us + {config.data_us}")
+        return trace
 
     @property
     def records(self) -> list[TransmissionRecord]:
@@ -133,8 +136,8 @@ class TraceLog:
         return [TransmissionRecord(i, s, e, OUTCOMES[o], MODES[m])
                 for i, s, e, o, m in zip(
                     self.station.tolist(), self.start.tolist(),
-                    self.end.tolist(), self.outcome.tolist(),
-                    self.mode.tolist())]
+                    (self.start + self.config.data_us).tolist(),
+                    self.outcome.tolist(), self.mode.tolist())]
 
     def write_csv(self, path: str | Path) -> None:
         # the bytes csv.writer would produce (no field needs quoting, rows
@@ -145,19 +148,22 @@ class TraceLog:
         width = -(-max(map(len, labels)) // 4)
         label_quads = np.frombuffer(b"".join(
             x.ljust(4 * width, b"\0") for x in labels), "<u4").reshape(-1, width)
-        columns = ((self.station, b""), (self.start, b","), (self.end, b","))
+        data_us = self.config.data_us
+        # rows are in start order, so the first and last ends are extremes
+        ends = self.start[[0, -1]] + data_us if len(self.start) else self.start
         groups = [-(-len(str(max(-int(c.min()), int(c.max())))) // 4)
-                  if len(c) else 1 for c, _ in columns]
+                  if len(c) else 1 for c in (self.station, self.start, ends)]
         text = np.empty((min(len(self.start), _ROWS_PER_WRITE),
-                         len(columns) + sum(groups) + width), "<u4")
+                         len(groups) + sum(groups) + width), "<u4")
         with open(path, "wb") as fh:
             fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
             for lo in range(0, len(self.start), _ROWS_PER_WRITE):
                 rows = slice(lo, lo + _ROWS_PER_WRITE)
-                quads = text[:len(self.start[rows])]
-                q = 0
-                for (column, sep), g in zip(columns, groups):
-                    _put_int(quads[:, q:q + 1 + g], column[rows], sep)
+                start = self.start[rows]
+                quads, q = text[:len(start)], 0
+                chunk = (self.station[rows], start, start + data_us)
+                for column, sep, g in zip(chunk, (b"", b",", b","), groups):
+                    _put_int(quads[:, q:q + 1 + g], column, sep)
                     q += 1 + g
                 quads[:, q:] = label_quads.take(
                     self.outcome[rows] * len(MODES) + self.mode[rows], axis=0)

@@ -15,7 +15,7 @@ from wlansim.bianchi import solve_fixed_point
 from wlansim.cli import ExperimentPlan, run_plan
 from wlansim.engine import SimConfig, frame_exchange_us, run_experiment
 from wlansim.metrics import MetricsReport, steady_state_start
-from wlansim.phy import MAC_OVERHEAD_BYTES, data_airtime, phy_profile
+from wlansim.phy import phy_profile
 from wlansim.protocols import (
     BACKOFF,
     CW_MIN,
@@ -187,9 +187,9 @@ def _legacy_us_per_frame(rate):
     access waits. The result is L / S.
     """
     profile = phy_profile(rate)
-    t_s = frame_exchange_us(rate, PAYLOAD_BYTES) + profile.difs
-    t_c = (data_airtime(PAYLOAD_BYTES + MAC_OVERHEAD_BYTES, rate)
-           + 2 * profile.difs)
+    cfg = SimConfig(n_stations=N, protocol=ProtocolKind.CSMA_CA, rate=rate)
+    t_s = frame_exchange_us(rate, cfg.payload_bytes) + profile.difs
+    t_c = cfg.data_us + 2 * profile.difs
     tau, _ = solve_fixed_point(N)
     p_tr = 1.0 - (1.0 - tau) ** N
     p_s = N * tau * (1.0 - tau) ** (N - 1) / p_tr

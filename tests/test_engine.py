@@ -18,14 +18,13 @@ from wlansim.engine import (
     run_experiment,
 )
 from wlansim.metrics import compute_report, steady_state_start
-from wlansim.phy import (MAC_OVERHEAD_BYTES, UnsupportedRateError, data_airtime,
-                         phy_profile)
+from wlansim.phy import UnsupportedRateError, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
 from wlansim.schedule import ScheduleRow, ScheduleTable, cycle_timer
 from wlansim.trace import (MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES, Outcome,
                            TraceLog)
 
-COLUMNS = ("station", "start", "end", "outcome", "mode")
+COLUMNS = ("station", "start", "outcome", "mode")
 S, C, E = (OUTCOME_CODE[o] for o in
            (Outcome.SUCCESS, Outcome.COLLISION, Outcome.CCA_ERROR))
 
@@ -45,16 +44,14 @@ def assert_same_trace(a, b):
 
 def assert_wellformed(trace):
     cfg = trace.config
-    airtime = data_airtime(cfg.payload_bytes + MAC_OVERHEAD_BYTES, cfg.rate)
     assert ((0 <= trace.start) & (trace.start < cfg.duration_us)).all()
-    assert (trace.end - trace.start == airtime).all()
     # rows are in (start, station) order
     order = np.lexsort((trace.station, trace.start))
     assert np.array_equal(order, np.arange(len(order)))
     # successful transmissions never overlap anything else on the channel;
-    # every frame lasts `airtime`, so a frame that overlaps a later one
+    # every frame lasts `cfg.data_us`, so a frame that overlaps a later one
     # overlaps the next one
-    overlap = trace.start[1:] < trace.end[:-1]
+    overlap = trace.start[1:] < trace.start[:-1] + cfg.data_us
     success = trace.outcome == S
     assert not (overlap & (success[:-1] | success[1:])).any()
 
@@ -324,8 +321,7 @@ def test_trace_columns_are_owned_contiguous_and_final(monkeypatch, fire):
                                      duration_s=1.0, warmup_s=0.1, seed=1))
     assert any(fired) is fire and len(trace.start)
     for name, dtype in (("station", np.int32), ("start", np.int64),
-                        ("end", np.int64), ("outcome", np.int8),
-                        ("mode", np.int8)):
+                        ("outcome", np.int8), ("mode", np.int8)):
         column = getattr(trace, name)
         assert column.dtype == dtype, name
         assert column.flags.c_contiguous and column.flags.owndata, name
@@ -394,8 +390,8 @@ def early_deadline(state, start, *args):
 
 
 for protocol, general, b in [("CsmaCa", False, -1), ("CsmaEca", False, -1),
-                             ("CsmaCa", False, -1000), ("CsmaCa", True, -1000),
-                             ("CfMac", True, -1000), ("CfMac", True, None)]:
+                             ("CsmaCa", True, -1), ("CfMac", True, -1),
+                             ("CfMac", True, None)]:
     engine._contend_on_grid = engine._contend if general else grid_loop
     if b is None:
         engine.succeed, engine.fail = early_deadline, fail
@@ -422,14 +418,12 @@ def test_invariant_checks_survive_python_O():
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert [line.split(" RuntimeError ")[0] for line in lines] == [
-        "CsmaCa False -1", "CsmaEca False -1", "CsmaCa False -1000",
-        "CsmaCa True -1000", "CfMac True -1000", "CfMac True None"], lines
-    # the grid-only loop rejects any key below the banked slots, an attempt
-    # before DIFS; the general loop only finds an attempt before the
-    # release, hence b = -1000 there (b = -1 passes it unnoticed)
-    assert all(line.endswith("fired before DIFS") for line in lines[:3])
-    assert all("event scheduled in the past" in line for line in lines[3:5])
-    assert "scheduled its deadline" in lines[5]
+        "CsmaCa False -1", "CsmaEca False -1", "CsmaCa True -1",
+        "CfMac True -1", "CfMac True None"], lines
+    # both loops reject a live grid key below the banked slots: an attempt
+    # between the release and the end of DIFS
+    assert all(line.endswith("fired before DIFS") for line in lines[:4])
+    assert "scheduled its deadline" in lines[4]
 
 
 # -- CCA noise ----------------------------------------------------------------

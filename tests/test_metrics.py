@@ -20,10 +20,10 @@ from wlansim.protocols import Mode, ProtocolKind
 from wlansim.trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
 
-def rec(station, start, outcome=Outcome.SUCCESS, mode=Mode.DETERMINISTIC, airtime=272):
-    """One trace row: (station, start, end, outcome code, mode code)."""
-    return (station, start, start + airtime, OUTCOME_CODE[outcome],
-            MODE_CODE[mode])
+def rec(station, start, outcome=Outcome.SUCCESS, mode=Mode.DETERMINISTIC):
+    """One trace row: (station, start, outcome code, mode code); its frame
+    lasts the config's data_us, 272 us at 48 Mb/s for 1470 bytes."""
+    return (station, start, OUTCOME_CODE[outcome], MODE_CODE[mode])
 
 
 def trace_of(rows, protocol=ProtocolKind.CF_MAC, n_stations=None,
@@ -36,8 +36,8 @@ def trace_of(rows, protocol=ProtocolKind.CF_MAC, n_stations=None,
                        payload_bytes=payload, duration_s=duration_us / 1e6,
                        warmup_s=warmup_us / 1e6)
     return TraceLog(config, **dict(zip(
-        ("station", "start", "end", "outcome", "mode"),
-        zip(*rows) if rows else ((),) * 5)))
+        ("station", "start", "outcome", "mode"),
+        zip(*rows) if rows else ((),) * 4)))
 
 
 # -- throughput ---------------------------------------------------------------

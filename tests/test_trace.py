@@ -13,23 +13,29 @@ from wlansim.protocols import ProtocolKind
 from wlansim.trace import (MODES, OUTCOMES, TRACE_COLUMNS, TraceLog,
                            TransmissionRecord)
 
-INT64 = np.iinfo(np.int64)
-# values where the digit count or the sign changes
-EDGES = sorted({s * v for k in range(19) for v in (10 ** k - 1, 10 ** k)
-                for s in (1, -1)} | {int(INT64.min), int(INT64.max)})
-TIMES = st.integers(int(INT64.min), int(INT64.max)) | st.sampled_from(EDGES)
-ROWS = st.lists(st.tuples(st.integers(0, 2 ** 31 - 2), TIMES, TIMES,
-                          st.integers(0, len(OUTCOMES) - 1),
-                          st.integers(0, len(MODES) - 1)), max_size=12)
-# every outcome in both modes
-LABELS = [(0, 10 * k, 10 * k + 5, o, m) for k, (o, m) in enumerate(
-    (o, m) for o in range(len(OUTCOMES)) for m in range(len(MODES)))]
-
 
 def config_of(n_stations, duration_us=1_000_000, warmup_us=0):
     return SimConfig(n_stations=n_stations, protocol=ProtocolKind.CF_MAC,
                      rate=48, duration_s=duration_us / 1e6,
                      warmup_s=warmup_us / 1e6)
+
+
+INT64 = np.iinfo(np.int64)
+DATA_US = config_of(1).data_us  # every frame's airtime: end = start + DATA_US
+LAST_START = int(INT64.max) - DATA_US  # its end is INT64_MAX
+# values where the digit count or the sign changes
+EDGES = sorted({s * v for k in range(19) for v in (10 ** k - 1, 10 ** k)
+                for s in (1, -1)} | {int(INT64.min), int(INT64.max)})
+# the starts that put the start or the end on an edge
+EDGE_STARTS = sorted({v for v in EDGES if v <= LAST_START}
+                     | {v - DATA_US for v in EDGES if v - DATA_US >= INT64.min})
+STARTS = st.integers(int(INT64.min), LAST_START) | st.sampled_from(EDGE_STARTS)
+ROWS = st.lists(st.tuples(st.integers(0, 2 ** 31 - 2), STARTS,
+                          st.integers(0, len(OUTCOMES) - 1),
+                          st.integers(0, len(MODES) - 1)), max_size=12)
+# every outcome in both modes
+LABELS = [(0, 10 * k, o, m) for k, (o, m) in enumerate(
+    (o, m) for o in range(len(OUTCOMES)) for m in range(len(MODES)))]
 
 
 def in_order(rows):
@@ -39,23 +45,23 @@ def in_order(rows):
 
 def trace_of(rows, n_stations):
     return TraceLog(config_of(n_stations),
-                    **dict(zip(("station", "start", "end", "outcome", "mode"),
-                               zip(*in_order(rows)) if rows else ((),) * 5)))
+                    **dict(zip(("station", "start", "outcome", "mode"),
+                               zip(*in_order(rows)) if rows else ((),) * 4)))
 
 
 def csv_writer_bytes(rows):
     text = io.StringIO(newline="")
     writer = csv.writer(text)
     writer.writerow(TRACE_COLUMNS)
-    writer.writerows((i, s, e, OUTCOMES[o].value, MODES[m].value)
-                     for i, s, e, o, m in rows)
+    writer.writerows((i, s, s + DATA_US, OUTCOMES[o].value, MODES[m].value)
+                     for i, s, o, m in rows)
     return text.getvalue().encode()
 
 
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=ROWS)
-@example(rows=[(0, v, -v - 1, 0, 0) for v in EDGES])
-@example(rows=[(0, 0, 0, 2, 1)])
+@example(rows=[(0, v, 0, 0) for v in EDGE_STARTS])
+@example(rows=[(0, 0, 2, 1)])
 @example(rows=[])
 def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
     # chunks of 3 rows, so digit widths change from one chunk to the next
@@ -67,27 +73,26 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
 
 
 def good_columns(**changes):
-    columns = dict(station=[0, 1], start=[1, 2], end=[3, 4], outcome=[0, 2],
-                   mode=[0, 0])
+    columns = dict(station=[0, 1], start=[1, 2], outcome=[0, 2], mode=[0, 0])
     columns.update(changes)
     return columns
 
 
 @pytest.mark.parametrize("columns, match", [
-    pytest.param(dict(station=[0, 1, 0], start=[0, 1], end=[5, 6, 7],
-                      outcome=[0, 0], mode=[0]), "1-D and equally long",
+    pytest.param(dict(station=[0, 1, 0], start=[0, 1], outcome=[0, 0],
+                      mode=[0]), "1-D and equally long",
                  id="unequal_lengths"),
-    pytest.param(dict(station=[[0, 1]], start=[[0, 1]], end=[[5, 6]],
-                      outcome=[[0, 0]], mode=[[0, 0]]), "1-D and equally long",
+    pytest.param(dict(station=[[0, 1]], start=[[0, 1]], outcome=[[0, 0]],
+                      mode=[[0, 0]]), "1-D and equally long",
                  id="two_dimensional"),
-    pytest.param(dict(station=0, start=0, end=5, outcome=0, mode=0),
+    pytest.param(dict(station=0, start=0, outcome=0, mode=0),
                  "1-D and equally long", id="scalars"),
     # a cast would truncate these to stations [0, 1] and outcomes [0, 2]
     pytest.param(good_columns(station=[0.7, 1.9]), "station must hold "
                  "integers, got dtype float64", id="float_station"),
     pytest.param(good_columns(outcome=[0.4, 2.5]), "outcome must hold "
                  "integers", id="float_outcome"),
-    pytest.param(good_columns(start=[1.5, 2.9], end=[3.2, 4.0]),
+    pytest.param(good_columns(start=[1.5, 2.9]),
                  "start must hold integers", id="float_times"),
     pytest.param(good_columns(station=[False, True]), "station must hold "
                  "integers, got dtype bool", id="bool_station"),
@@ -97,29 +102,33 @@ def good_columns(**changes):
     # would wrap to INT64_MIN
     pytest.param(good_columns(start=np.array([1, 2 ** 63], dtype=np.uint64)),
                  "start values must fit in int64", id="uint64_start"),
-    pytest.param(good_columns(end=np.array([3, 2 ** 64 - 1],
-                                           dtype=np.uint64)),
-                 "end values must fit in int64", id="uint64_end"),
+    # the last frame would end one past INT64_MAX
+    pytest.param(good_columns(start=[1, LAST_START + 1]),
+                 "last frame's end must fit in int64", id="end_past_int64"),
 ])
 def test_malformed_columns_rejected(columns, match):
     with pytest.raises(ValueError, match=match):
         TraceLog(config_of(2), **columns)
 
 
+def test_last_frame_may_end_at_int64_max():
+    trace = TraceLog(config_of(2), **good_columns(start=[1, LAST_START]))
+    assert trace.records[-1].end == INT64.max
+
+
 @pytest.mark.parametrize("station", [-1, 2, 2 ** 40])
 def test_constructor_rejects_unknown_stations(station):
     with pytest.raises(ValueError, match=f"station {station} outside 0..1"):
         TraceLog(config_of(2), station=[0, station, 1],
-                 start=[0, 10, 20], end=[5, 15, 25], outcome=[0, 0, 0],
-                 mode=[0, 0, 0])
+                 start=[0, 10, 20], outcome=[0, 0, 0], mode=[0, 0, 0])
 
 
 @pytest.mark.parametrize("column,code,count", [
     ("outcome", -1, len(OUTCOMES)), ("outcome", len(OUTCOMES), len(OUTCOMES)),
     ("mode", -1, len(MODES)), ("mode", len(MODES), len(MODES))])
 def test_constructor_rejects_unknown_codes(column, code, count):
-    columns = dict(station=[0, 1, 0], start=[0, 10, 20], end=[5, 15, 25],
-                   outcome=[0, 1, 2], mode=[0, 1, 0])
+    columns = dict(station=[0, 1, 0], start=[0, 10, 20], outcome=[0, 1, 2],
+                   mode=[0, 1, 0])
     columns[column][1] = code
     with pytest.raises(ValueError,
                        match=f"{column} {code} outside 0..{count - 1}"):
@@ -146,15 +155,15 @@ def test_window_of_one_microsecond_is_accepted():
 
 def test_rows_out_of_start_order_rejected(tmp_path):
     # a later row may share its start, but not start earlier
-    columns = dict(station=[1, 0, 0], start=[10, 10, 20], end=[15, 15, 25],
-                   outcome=[0, 0, 0], mode=[0, 0, 0])
+    columns = dict(station=[1, 0, 0], start=[10, 10, 20], outcome=[0, 0, 0],
+                   mode=[0, 0, 0])
     TraceLog(config_of(2), **columns)
     columns["start"] = [10, 20, 10]
     with pytest.raises(ValueError, match="start order"):
         TraceLog(config_of(2), **columns)
     path = tmp_path / "t.csv"
     path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n"
-                     b"0,20,25,success,legacy\r\n0,10,15,success,legacy\r\n")
+                     b"0,20,292,success,legacy\r\n0,10,282,success,legacy\r\n")
     with pytest.raises(ValueError, match="start order"):
         TraceLog.read_csv(path, config_of(2))
 
@@ -162,7 +171,7 @@ def test_rows_out_of_start_order_rejected(tmp_path):
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(rows=ROWS)
 @example(rows=LABELS)
-@example(rows=[(0, v, -v - 1, 0, 0) for v in EDGES])
+@example(rows=[(0, v, 0, 0) for v in EDGE_STARTS])
 @example(rows=[])
 def test_read_csv_inverts_write_csv(rows, tmp_path):
     first, second = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -170,7 +179,7 @@ def test_read_csv_inverts_write_csv(rows, tmp_path):
     trace = trace_of(rows, n_stations)
     trace.write_csv(first)
     back = TraceLog.read_csv(first, config_of(n_stations))
-    for name in ("station", "start", "end", "outcome", "mode"):
+    for name in ("station", "start", "outcome", "mode"):
         column = getattr(back, name)
         assert column.dtype == getattr(trace, name).dtype, name
         assert column.tolist() == getattr(trace, name).tolist(), name
@@ -195,7 +204,11 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
     b"0,10,15,lost,legacy", b"0,10,15,success,burst", b"0,10,15,success",
     b"0,10,15,success,legacy,1", b"0,ten,15,success,legacy",
     b"2,10,15,success,legacy", b"0,99999999999999999999,15,success,legacy",
-    b"0,10,-99999999999999999999,success,legacy"])
+    b"0,10,-99999999999999999999,success,legacy",
+    # an end_us one off start_us + 272 us, and one of 524 us, the airtime
+    # of the same frame at 24 Mb/s
+    b"0,10,281,success,legacy", b"0,10,283,success,legacy",
+    b"0,10,534,success,legacy"])
 def test_read_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "t.csv"
     path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
@@ -209,4 +222,5 @@ def test_records_view_matches_the_columns():
     records = trace_of(LABELS, 1).records
     assert all(type(r) is TransmissionRecord for r in records)
     assert [(r.station, r.start, r.end, OUTCOMES.index(r.outcome),
-             MODES.index(r.mode)) for r in records] == LABELS
+             MODES.index(r.mode)) for r in records] == [
+        (i, s, s + DATA_US, o, m) for i, s, o, m in LABELS]
