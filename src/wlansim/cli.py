@@ -250,18 +250,14 @@ def _row_writer(fh, columns: tuple[str, ...]) -> csv.DictWriter:
     return writer
 
 
-def _write_metrics_csv(path: str, report: MetricsReport) -> None:
-    with open(path, "w", newline="") as fh:
-        _row_writer(fh, METRICS_COLUMNS).writerows(_report_rows(report))
-
-
 def _write_metrics(path: str, fmt: str, report: MetricsReport) -> None:
     if fmt == "json":
         with open(path, "w") as fh:
             json.dump(report.as_dict(), fh, indent=2, sort_keys=True)
             fh.write("\n")
     else:
-        _write_metrics_csv(path, report)
+        with open(path, "w", newline="") as fh:
+            _row_writer(fh, METRICS_COLUMNS).writerows(_report_rows(report))
 
 
 def _execute(job):

@@ -38,13 +38,14 @@ need no classifier: one succeeds, more collide. A station that joins
 mid-air on a false-idle CCA sample (below) is classified against the last
 frame alone (`_join`): every frame lasts `SimConfig.data_us` and none
 starts before the last, so a joiner overlaps an earlier frame exactly when
-it starts less than one frame after the last one. Outcomes are applied at
-the channel-release instant in station order, and each attempt's row of
-four int64 (station, start, outcome, mode) goes to one array('q') buffer
-with its outcome; after a joiner, whose start order is not station order,
-the rows go first and the outcomes are sorted. The ACK timeout is folded
-into the release rather than modeled as a separate observable, which keeps
-every legacy station on one shared post-busy slot grid.
+it starts less than one frame after the last one. At the channel-release
+instant each attempt's row of four int64 (station, start, outcome, mode)
+goes to one array('q') buffer in start order, and then the outcomes are
+applied in station order, sorted only after a joiner, whose start order is
+not station order. A success holds the channel for one data + SIFS + ACK
+exchange (`SimConfig.exchange_us`). The ACK timeout is folded into the
+release rather than modeled as a separate observable, which keeps every
+legacy station on one shared post-busy slot grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -101,7 +102,7 @@ from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProtocolKind,
                         RandomSource, count_down, fail, initial_station,
                         probe_busy, succeed)
 from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
-from .trace import MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
+from .trace import _DTYPES, MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
 
 class ConfigError(ValueError):
@@ -114,7 +115,6 @@ _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 _CF_MAC = ProtocolKind.CF_MAC
-_ROW_DTYPES = (np.int32, np.int64, np.int8, np.int8)
 
 
 @dataclass(frozen=True)
@@ -145,6 +145,12 @@ class SimConfig:
         """Airtime of every data frame of the run."""
         return data_airtime(self.payload_bytes + MAC_OVERHEAD_BYTES, self.rate)
 
+    @property
+    def exchange_us(self) -> int:
+        """Airtime of one data + SIFS + ACK exchange: a success's hold."""
+        profile = phy_profile(self.rate)
+        return self.data_us + profile.sifs + ack_airtime(profile)
+
     def validate(self) -> None:
         if self.n_stations < 1:
             raise ConfigError("n_stations must be at least 1")
@@ -171,21 +177,14 @@ class SimConfig:
         profile = phy_profile(self.rate)
         # a shorter cycle could re-schedule a deadline inside the busy
         # period that produced it, which the loop does not support
-        floor = frame_exchange_us(self.rate, self.payload_bytes) + profile.difs
+        floor = self.exchange_us + profile.difs
         if self.schedule.row(self.rate).total_us < floor:
             raise ConfigError(f"schedule total for rate {self.rate} is too "
                               f"short to cover one frame exchange ({floor} us)")
 
 
-def frame_exchange_us(rate: int, payload_bytes: int) -> int:
-    """Airtime of one data + SIFS + ACK exchange in microseconds."""
-    profile = phy_profile(rate)
-    data = data_airtime(payload_bytes + MAC_OVERHEAD_BYTES, rate)
-    return data + profile.sifs + ack_airtime(profile)
-
-
 def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
-          i: int, data_us: int, sifs_ack_us: int, difs_us: int) -> int:
+          i: int, data_us: int, exchange_us: int, difs_us: int) -> int:
     """Append station i's mid-air frame to the busy period that began at t0.
 
     `txs` holds the (start, station) pair of every frame so far, `codes`
@@ -195,17 +194,16 @@ def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
     CcaError, the last frame a Collision if it started at t0 and a CcaError
     if it joined mid-air too, and their group holds the channel to the
     joiner's end + DIFS. Otherwise the joiner is a lone Success, released at
-    its end + SIFS + ACK. Returns that release.
+    its start + the data + SIFS + ACK exchange. Returns that release.
     """
-    end = start + data_us
     last = txs[-1][0]
     txs.append((start, i))
     if start < last + data_us:
         codes[-1] = _COLLISION if last == t0 else _CCA_ERROR
         codes.append(_CCA_ERROR)
-        return end + difs_us
+        return start + data_us + difs_us
     codes.append(_SUCCESS)
-    return end + sifs_ack_us
+    return start + exchange_us
 
 
 def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
@@ -213,7 +211,7 @@ def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
     # the rows of `head` (four int64 each, in that order), then `extra` rows
     # left to the caller
     block = np.frombuffer(head, np.int64).reshape(-1, 4)
-    columns = [np.empty(len(block) + extra, dt) for dt in _ROW_DTYPES]
+    columns = [np.empty(len(block) + extra, dt) for dt in _DTYPES.values()]
     for column, values in zip(columns, block.T):
         column[:len(block)] = values
     return columns
@@ -261,7 +259,7 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
 
 
 def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
-                     sifs_ack_us: int, cycle_us: int, states: list,
+                     exchange_us: int, cycle_us: int, states: list,
                      rng: RandomSource, rows: array) -> None:
     """`_contend` for runs that never leave the shared grid: the stations
     under the top key transmit (in station order) and are filed anew."""
@@ -280,7 +278,7 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
             put((i, t0, _SUCCESS, _LEGACY))
             succeed(states[i], t0, cycle_us, rng)
             heapq.heapreplace(grid, (key + states[i].b, i))
-            release = t0 + data_us + sifs_ack_us
+            release = t0 + exchange_us
             continue
         winners = [heapq.heappop(grid)[1]]
         while grid[0][0] == key:
@@ -296,7 +294,6 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
     config.validate()
     profile = phy_profile(config.rate)
-    sifs_ack_us = profile.sifs + ack_airtime(profile)
     cycle_us = cycle_timer(config.n_stations, config.rate, config.schedule)
     rng = RandomSource(config.seed)
     states = [initial_station(config.protocol, rng)
@@ -305,7 +302,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     # only CF-MAC leaves the shared grid (module docstring)
     contend = _contend if config.protocol is _CF_MAC else _contend_on_grid
     tail = contend(config, profile.slot, profile.difs, config.data_us,
-                   sifs_ack_us, cycle_us, states, rng, rows)
+                   config.exchange_us, cycle_us, states, rng, rows)
     station, start, outcome, mode = tail or _columns(rows)
     del rows
     trace = TraceLog(config, station=station, start=start, outcome=outcome,
@@ -314,7 +311,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
 
 
 def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
-             sifs_ack_us: int, cycle_us: int, states: list,
+             exchange_us: int, cycle_us: int, states: list,
              rng: RandomSource, rows: array) -> list[np.ndarray] | None:
     """The general loop: fills `rows`, returns `_periodic_tail`'s columns."""
     hold_us = 2 * slot
@@ -343,7 +340,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
     # file after it, flipped stations that hold
     moved, flip_holders = set(), []
     tail = None
-    converge = not p_err and config.protocol is ProtocolKind.CF_MAC
+    converge = not p_err
     clock = 0
 
     def schedule(at: int, phase: int, i: int) -> None:
@@ -455,7 +452,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
 
         # every frame so far starts at t0: one succeeds, more collide
         if len(txs) == 1:
-            codes, free_at = [_SUCCESS], t0 + data_us + sifs_ack_us
+            codes, free_at = [_SUCCESS], t0 + exchange_us
         else:
             codes, free_at = [_COLLISION] * len(txs), t0 + data_us + difs
 
@@ -476,7 +473,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
                 # that wrecks a lone success keeps the success's release
                 # where it is later than the wreck's
                 free_at = max(free_at, _join(txs, codes, t0, tme, i, data_us,
-                                             sifs_ack_us, difs))
+                                             exchange_us, difs))
                 continue
             moved.add(i)
             probe_busy(states[i], tme, rng)
@@ -485,23 +482,17 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
             elif states[i].phase == HOLD:
                 schedule(tme + hold_us, HOLD, i)
 
-        # outcomes in station order, each row (with the mode its frame was
-        # sent in) written with its outcome; after a joiner `txs` is not in
-        # station order, so its rows go out first and the outcomes sorted;
-        # only a joiner starts after t0
-        joined = txs[-1][0] != t0
-        outcomes = zip(txs, codes)
-        if joined:
-            outcomes = list(outcomes)
-            for (start, i), code in outcomes:
-                put((i, start, code,
-                     _LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC))
+        # every frame's row in start order, with the mode it was sent in,
+        # then the outcomes in station order; only a joiner starts after t0
+        # and breaks that order
+        outcomes = list(zip(txs, codes))
+        for (start, i), code in outcomes:
+            put((i, start, code,
+                 _LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC))
+        if txs[-1][0] != t0:
             outcomes.sort(key=lambda o: o[0][1])
         for (start, i), code in outcomes:
             st = states[i]
-            if not joined:
-                put((i, start, code,
-                     _LEGACY if st.phase == BACKOFF else _DETERMINISTIC))
             if code == _SUCCESS:
                 succeed(st, start, cycle_us, rng)
             else:
@@ -531,8 +522,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
         if converge and all(st.phase == DEADLINE for st in states):
             tail = _periodic_tail([(st.deadline, i)
                                    for i, st in enumerate(states)],
-                                  cycle_us, data_us + sifs_ack_us,
-                                  duration_us, rows)
+                                  cycle_us, exchange_us, duration_us, rows)
             if tail is not None:
                 break
     return tail

@@ -13,7 +13,7 @@ import pytest
 
 from wlansim.bianchi import solve_fixed_point
 from wlansim.cli import ExperimentPlan, run_plan
-from wlansim.engine import SimConfig, frame_exchange_us, run_experiment
+from wlansim.engine import SimConfig, run_experiment
 from wlansim.metrics import MetricsReport, steady_state_start
 from wlansim.phy import phy_profile
 from wlansim.protocols import (
@@ -188,7 +188,7 @@ def _legacy_us_per_frame(rate):
     """
     profile = phy_profile(rate)
     cfg = SimConfig(n_stations=N, protocol=ProtocolKind.CSMA_CA, rate=rate)
-    t_s = frame_exchange_us(rate, cfg.payload_bytes) + profile.difs
+    t_s = cfg.exchange_us + profile.difs
     t_c = cfg.data_us + 2 * profile.difs
     tau, _ = solve_fixed_point(N)
     p_tr = 1.0 - (1.0 - tau) ** N

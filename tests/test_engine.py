@@ -11,12 +11,7 @@ import numpy as np
 import pytest
 
 from wlansim import engine
-from wlansim.engine import (
-    ConfigError,
-    SimConfig,
-    frame_exchange_us,
-    run_experiment,
-)
+from wlansim.engine import ConfigError, SimConfig, run_experiment
 from wlansim.metrics import compute_report, steady_state_start
 from wlansim.phy import UnsupportedRateError, phy_profile
 from wlansim.protocols import Mode, ProtocolKind, RandomSource
@@ -81,7 +76,7 @@ PAIR = ([(T0, 0), (T0, 1)], [C, C])  # a collision started at t0
 ])
 def test_join(before, start, codes, release):
     txs, got = list(before[0]), list(before[1])
-    assert engine._join(txs, got, T0, start, 9, DATA, SIFS_ACK,
+    assert engine._join(txs, got, T0, start, 9, DATA, DATA + SIFS_ACK,
                         DIFS) == release
     assert txs == before[0] + [(start, 9)]
     assert got == codes
@@ -241,7 +236,7 @@ def test_config_rejections():
 
 def test_schedule_floor_enforced():
     # the per-station slice must cover data + SIFS + ACK + DIFS
-    floor = frame_exchange_us(48, 1470) + 28
+    floor = config().exchange_us + 28
     assert floor == 354
     short = ScheduleTable(rows={48: ScheduleRow(share_us=300.0, epsilon_us=25.0)})
     with pytest.raises(ConfigError):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from wlansim.engine import frame_exchange_us
+from wlansim.engine import SimConfig
+from wlansim.protocols import ProtocolKind
 from wlansim.phy import SUPPORTED_RATES, phy_profile
 from wlansim.schedule import (DEFAULT_TABLE, ScheduleRow, ScheduleTable,
                               cycle_timer)
@@ -51,8 +52,11 @@ def test_cycle_is_linear_in_contenders(n, rate):
 def test_slot_covers_exchange():
     # each per-station slice must fit a full data+SIFS+ACK exchange plus DIFS,
     # otherwise the rotation could not be collision-free
+    exchange = {6: 2090, 11: 1603, 12: 1082, 24: 578, 48: 326}  # at 1470 B
     for rate in SUPPORTED_RATES:
-        floor = frame_exchange_us(rate, 1470) + phy_profile(rate).difs
+        cfg = SimConfig(n_stations=1, protocol=ProtocolKind.CF_MAC, rate=rate)
+        assert cfg.exchange_us == exchange[rate]
+        floor = cfg.exchange_us + phy_profile(rate).difs
         assert DEFAULT_TABLE.row(rate).total_us >= floor
 
 
