@@ -122,7 +122,8 @@ def _parse_int(key: str, value) -> int:
 
 
 def _parse_path(key: str, value) -> Path:
-    if not isinstance(value, str):
+    # Path("") is the current directory, which nobody means by an empty value
+    if not isinstance(value, str) or not value:
         raise ConfigError(f"{key}: expected a path, got {value!r}")
     return Path(value)
 
@@ -397,9 +398,10 @@ def _cmd_model(args) -> int:
     counts = _parse_ints("stations", args.stations)
     if not counts:
         raise ConfigError("stations: empty sweep axis")
-    if any(n < 1 for n in counts):
-        raise ConfigError(f"stations: counts must be at least 1, "
-                          f"got {args.stations!r}")
+    # the model raises a float to the power n - 1
+    if any(not 1 <= n <= sys.float_info.max for n in counts):
+        raise ConfigError(f"stations: counts must lie in [1, "
+                          f"{sys.float_info.max!r}], got {args.stations!r}")
     print("n,tau,p")
     for n in counts:
         tau, p = solve_fixed_point(n)

@@ -39,13 +39,14 @@ mid-air on a false-idle CCA sample (below) is classified against the last
 frame alone (`_join`): every frame lasts `SimConfig.data_us` and none
 starts before the last, so a joiner overlaps an earlier frame exactly when
 it starts less than one frame after the last one. At the channel-release
-instant each attempt's row of four int64 (station, start, outcome, mode)
-goes to one array('q') buffer in start order, and then the outcomes are
-applied in station order, sorted only after a joiner, whose start order is
-not station order. A success holds the channel for one data + SIFS + ACK
-exchange (`SimConfig.exchange_us`). The ACK timeout is folded into the
-release rather than modeled as a separate observable, which keeps every
-legacy station on one shared post-busy slot grid.
+instant each attempt's station, start, outcome and mode go, in start
+order, to one `array.array` per trace column, of the dtype the trace wraps
+without a copy; then the outcomes are applied in station order, sorted only
+after a joiner, whose start order is not station order. A success holds the
+channel for one data + SIFS + ACK exchange (`SimConfig.exchange_us`). The
+ACK timeout is folded into the release rather than modeled as a separate
+observable, which keeps every legacy station on one shared post-busy slot
+grid.
 
 Channel occupancy is bookkept conservatively:
 
@@ -115,6 +116,7 @@ _CCA_ERROR = OUTCOME_CODE[Outcome.CCA_ERROR]
 _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 _CF_MAC = ProtocolKind.CF_MAC
+_MAX_STATIONS = int(np.iinfo(_DTYPES["station"]).max)  # the trace's column
 
 
 @dataclass(frozen=True)
@@ -152,8 +154,8 @@ class SimConfig:
         return self.data_us + profile.sifs + ack_airtime(profile)
 
     def validate(self) -> None:
-        if self.n_stations < 1:
-            raise ConfigError("n_stations must be at least 1")
+        if not 1 <= self.n_stations <= _MAX_STATIONS:
+            raise ConfigError(f"n_stations must lie in [1, {_MAX_STATIONS}]")
         # random.Random seeds with |seed|, so -s would repeat the run of s
         if self.seed < 0:
             raise ConfigError("seed must be non-negative")
@@ -206,20 +208,9 @@ def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
     return start + exchange_us
 
 
-def _columns(head: array | bytes, extra: int = 0) -> list[np.ndarray]:
-    # the station, start, outcome and mode columns at their final length:
-    # the rows of `head` (four int64 each, in that order), then `extra` rows
-    # left to the caller
-    block = np.frombuffer(head, np.int64).reshape(-1, 4)
-    columns = [np.empty(len(block) + extra, dt) for dt in _DTYPES.values()]
-    for column, values in zip(columns, block.T):
-        column[:len(block)] = values
-    return columns
-
-
 def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
                    exchange_us: int, duration_us: int,
-                   head: array | bytes = b"") -> list[np.ndarray] | None:
+                   head: list[array] | tuple = ((),) * 4) -> list | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
     Called with the (deadline, station) pair of every station once all n
@@ -232,8 +223,8 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     and schedules itself one cycle after this start. The new deadlines have
     the same gaps rotated by one, so the condition holds again. Station i
     therefore transmits alone at d_i + k * cycle for every start before the
-    end of the run, and nothing else happens. Returns `_columns(head)` with
-    those Deterministic-mode successes after the loop's rows, in start order.
+    end of the run, and nothing else happens. Returns the columns at their
+    final length: the rows of `head` (none by default), then those successes.
     """
     order = sorted(deadlines)
     first = np.array([d for d, _ in order], dtype=np.int64)
@@ -245,9 +236,11 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     cycles = len(range(order[-1][0], duration_us, cycle_us))
     part = int(np.searchsorted(first, duration_us - cycles * cycle_us))
     full = cycles * n
-    columns = _columns(head, full + part)
-    station, start, outcome, mode = (c[len(c) - full - part:]
-                                     for c in columns)
+    columns = [np.empty(len(rows) + full + part, dt)
+               for rows, dt in zip(head, _DTYPES.values())]
+    for column, rows in zip(columns, head):
+        column[:len(rows)] = rows
+    station, start, outcome, mode = (c[len(h):] for c, h in zip(columns, head))
     stations = np.array([i for _, i in order], dtype=np.int32)
     np.add(first, cycle_us * np.arange(cycles, dtype=np.int64)[:, None],
            out=start[:full].reshape(cycles, n))
@@ -260,22 +253,26 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
 
 def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
                      exchange_us: int, cycle_us: int, states: list,
-                     rng: RandomSource, rows: array) -> None:
+                     rng: RandomSource, columns: list[array]) -> list[array]:
     """`_contend` for runs that never leave the shared grid: the stations
     under the top key transmit (in station order) and are filed anew."""
     # a sorted list is a heap; sentinels keep both children of the top
     grid = sorted((s.b, i) for i, s in enumerate(states)) + [(math.inf, 0)] * 2
-    put, release, banked = rows.extend, 0, 0
+    put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
+    release, banked = 0, 0
     while True:
         key, i = grid[0]
         if key < banked:
             raise RuntimeError(f"station {i} fired before DIFS")
         t0 = release + difs + (key - banked) * slot
         if t0 >= config.duration_us:
-            return
+            return columns
         banked = key
         if grid[1][0] != key != grid[2][0]:  # no other entry shares the key
-            put((i, t0, _SUCCESS, _LEGACY))
+            put_station(i)
+            put_start(t0)
+            put_outcome(_SUCCESS)
+            put_mode(_LEGACY)
             succeed(states[i], t0, cycle_us, rng)
             heapq.heapreplace(grid, (key + states[i].b, i))
             release = t0 + exchange_us
@@ -284,7 +281,10 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
         while grid[0][0] == key:
             winners.append(heapq.heappop(grid)[1])
         for i in winners:
-            put((i, t0, _COLLISION, _LEGACY))
+            put_station(i)
+            put_start(t0)
+            put_outcome(_COLLISION)
+            put_mode(_LEGACY)
             fail(states[i], t0, cycle_us, rng)
             heapq.heappush(grid, (key + states[i].b, i))
         release = t0 + data_us + difs
@@ -298,22 +298,20 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     rng = RandomSource(config.seed)
     states = [initial_station(config.protocol, rng)
               for _ in range(config.n_stations)]
-    rows = array("q")  # station, start, outcome, mode per attempt
     # only CF-MAC leaves the shared grid (module docstring)
     contend = _contend if config.protocol is _CF_MAC else _contend_on_grid
-    tail = contend(config, profile.slot, profile.difs, config.data_us,
-                   config.exchange_us, cycle_us, states, rng, rows)
-    station, start, outcome, mode = tail or _columns(rows)
-    del rows
-    trace = TraceLog(config, station=station, start=start, outcome=outcome,
-                     mode=mode)
+    # the loop appends to one array per trace column and returns the columns
+    trace = TraceLog(config, *contend(
+        config, profile.slot, profile.difs, config.data_us, config.exchange_us,
+        cycle_us, states, rng,
+        [array(np.dtype(dt).char) for dt in _DTYPES.values()]))
     return trace, compute_report(trace)
 
 
 def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
              exchange_us: int, cycle_us: int, states: list,
-             rng: RandomSource, rows: array) -> list[np.ndarray] | None:
-    """The general loop: fills `rows`, returns `_periodic_tail`'s columns."""
+             rng: RandomSource, columns: list[array]) -> list:
+    """The general loop: fills `columns`, returns them or the tail's."""
     hold_us = 2 * slot
     n = config.n_stations
     duration_us = config.duration_us
@@ -334,12 +332,11 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
     due: list[tuple[int, int, int] | None] = [None] * n
     loose: dict[int, int] = {}  # off-grid station -> the anchor it counts from
     reduced: set[int] = set()   # REDUCED stations still counting down
-    put = rows.extend
+    put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
     heappop, heappush = heapq.heappop, heapq.heappush
     # per-period scratch, cleared as a period starts: non-transmitters to
     # file after it, flipped stations that hold
     moved, flip_holders = set(), []
-    tail = None
     converge = not p_err
     clock = 0
 
@@ -361,7 +358,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
         if timed and timed[0][0] < t_next:
             t_next = timed[0][0]
         if t_next >= duration_us:
-            break
+            return columns
         if t_next < clock:
             raise RuntimeError(f"event scheduled in the past: {t_next} us "
                                f"< {clock} us")
@@ -487,8 +484,10 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
         # and breaks that order
         outcomes = list(zip(txs, codes))
         for (start, i), code in outcomes:
-            put((i, start, code,
-                 _LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC))
+            put_station(i)
+            put_start(start)
+            put_outcome(code)
+            put_mode(_LEGACY if states[i].phase == BACKOFF else _DETERMINISTIC)
         if txs[-1][0] != t0:
             outcomes.sort(key=lambda o: o[0][1])
         for (start, i), code in outcomes:
@@ -522,7 +521,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
         if converge and all(st.phase == DEADLINE for st in states):
             tail = _periodic_tail([(st.deadline, i)
                                    for i, st in enumerate(states)],
-                                  cycle_us, exchange_us, duration_us, rows)
+                                  cycle_us, exchange_us, duration_us,
+                                  columns)
             if tail is not None:
-                break
-    return tail
+                return tail

@@ -131,6 +131,15 @@ def normalized_interarrival(stats: dict[int, IatStats | None],
             for i, s in stats.items()}
 
 
+def _settled_at(trace: TraceLog, success: np.ndarray,
+                disturbed: np.ndarray) -> int | None:
+    """The end of the last disturbing frame (0 if none), provided a success
+    starts at or after it; None otherwise."""
+    at = (int(trace.start[disturbed].max()) + trace.config.data_us
+          if disturbed.any() else 0)
+    return at if (success & (trace.start >= at)).any() else None
+
+
 def convergence_time(trace: TraceLog) -> int | None:
     """When the run stopped colliding, or None if it never settled.
 
@@ -147,10 +156,7 @@ def convergence_time(trace: TraceLog) -> int | None:
     if trace.config.protocol is ProtocolKind.CF_MAC:
         if not (trace.mode == _DETERMINISTIC).any():
             return None
-    settled_at = int(trace.start[~success].max()) + trace.config.data_us
-    if not (success & (trace.start >= settled_at)).any():
-        return None
-    return settled_at
+    return _settled_at(trace, success, ~success)
 
 
 def steady_state_start(trace: TraceLog) -> int | None:
@@ -163,12 +169,7 @@ def steady_state_start(trace: TraceLog) -> int | None:
     if not deterministic.any():
         return None
     success = trace.outcome == _SUCCESS
-    disturbed = ~(success & deterministic)
-    start = (int(trace.start[disturbed].max()) + trace.config.data_us
-             if disturbed.any() else 0)
-    if not (success & (trace.start >= start)).any():
-        return None
-    return start
+    return _settled_at(trace, success, ~(success & deterministic))
 
 
 def compute_report(trace: TraceLog) -> MetricsReport:

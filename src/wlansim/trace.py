@@ -1,9 +1,10 @@
 """Transmission trace: what happened on the channel, one row per attempt.
 
-The trace is held as four parallel numpy columns, from the engine that
-fills them through the metrics to the CSV file: int64 `start`
-(microseconds), int32 `station`, and int8 `outcome` and `mode` codes, which
-index OUTCOMES and MODES. Row k of every column describes one attempt,
+The trace is held as four parallel columns of int64 `start` (microseconds),
+int32 `station`, and int8 `outcome` and `mode` codes, which index OUTCOMES
+and MODES: the engine appends to one `array.array` per column, the trace
+wraps their buffers as numpy arrays without a copy, and the metrics and the
+CSV writer read them. Row k of every column describes one attempt,
 whose frame ends at `start + config.data_us`; rows are in (start, station)
 order. `TraceLog.read_csv` reads back what `TraceLog.write_csv` wrote.
 

@@ -449,6 +449,25 @@ def test_out_flag_overrides_the_output_directory(tmp_path):
     assert not (tmp_path / "file").exists()
 
 
+def test_empty_out_flag_rejected(tmp_path, capsys, monkeypatch):
+    # Path("") is the current directory: nothing may be written there
+    monkeypatch.chdir(tmp_path)
+    assert main(["run", "--duration", "0.05", "--warmup", "0.01",
+                 "--out", ""]) == 1
+    assert capsys.readouterr().err == \
+        "error: directory: expected a path, got ''\n"
+    assert not list(tmp_path.iterdir())
+
+
+def test_empty_output_directory_key_rejected(tmp_path):
+    path = write(tmp_path / "c.ini", """\
+        [output]
+        directory =
+    """)
+    with pytest.raises(ConfigError, match="directory: expected a path"):
+        parse_config(path)
+
+
 @pytest.mark.parametrize("jobs", [0, -3])
 def test_run_plan_rejects_fewer_than_one_job(tmp_path, jobs):
     plan = ExperimentPlan(stations=[2], duration_s=0.05, warmup_s=0.01,
@@ -524,6 +543,17 @@ def test_model_rejects_counts_below_one(capsys, stations):
     assert out == ""
     assert err.startswith("error: ")
     assert err.count("\n") == 1
+
+
+def test_model_rejects_counts_beyond_a_float(capsys):
+    # the model raises a float to the power n - 1, which 10**308 still fits
+    assert main(["model", "--stations", f"2,{10 ** 400}"]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: stations: counts must lie in [1, ")
+    assert err.count("\n") == 1
+    assert main(["model", "--stations", str(10 ** 308)]) == 0
+    assert capsys.readouterr().out.startswith("n,tau,p\n")
 
 
 @pytest.mark.parametrize("stations", ["", ","])

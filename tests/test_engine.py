@@ -5,6 +5,7 @@ import itertools
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,8 @@ def test_report_matches_trace():
 # -- configuration ------------------------------------------------------------
 
 def test_config_rejections():
-    cases = [dict(n_stations=0), dict(duration_s=0.0),
+    # never run 2**31 stations: a run allocates one record per station
+    cases = [dict(n_stations=0), dict(n_stations=2**31), dict(duration_s=0.0),
              dict(warmup_s=0.3, duration_s=0.3), dict(warmup_s=-0.1),
              dict(cca_error_prob=1.5), dict(cca_error_prob=-0.1),
              dict(payload_bytes=0), dict(payload_bytes=2305), dict(seed=-1),
@@ -232,6 +234,7 @@ def test_config_rejections():
     with pytest.raises(UnsupportedRateError):
         config(rate=7).validate()
     config(payload_bytes=2304).validate()  # one full 802.11 MSDU
+    config(n_stations=2**31 - 1).validate()  # the int32 station column's top
 
 
 def test_schedule_floor_enforced():
@@ -310,7 +313,9 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
 
 @pytest.mark.parametrize("fire", [False, True])
 def test_trace_columns_are_owned_contiguous_and_final(monkeypatch, fire):
-    # with and without the closed-form tail appended to the loop's rows
+    # with and without the closed-form tail appended to the loop's rows; a
+    # column may wrap the buffer the loop appended to, but holds no memory
+    # beyond its own rows
     fired = spy_on_tail(monkeypatch, fire)
     trace, _ = run_experiment(config(protocol=ProtocolKind.CF_MAC,
                                      duration_s=1.0, warmup_s=0.1, seed=1))
@@ -319,7 +324,23 @@ def test_trace_columns_are_owned_contiguous_and_final(monkeypatch, fire):
                         ("outcome", np.int8), ("mode", np.int8)):
         column = getattr(trace, name)
         assert column.dtype == dtype, name
-        assert column.flags.c_contiguous and column.flags.owndata, name
+        assert column.flags.c_contiguous, name
+        assert column.base is None or column.base.nbytes == column.nbytes, name
+
+
+def test_run_peaks_near_the_trace_it_keeps(monkeypatch):
+    # the loop appends straight to the trace's typed columns, so the engine
+    # holds no second copy of the rows: a run peaks below twice the columns
+    monkeypatch.setattr(engine, "compute_report", lambda trace: None)
+    cfg = config(n_stations=50, duration_s=2.0, warmup_s=0.1, seed=1)
+    tracemalloc.start()
+    try:
+        trace, _ = run_experiment(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    columns = sum(getattr(trace, name).nbytes for name in COLUMNS)
+    assert peak < 2 * columns, peak / columns
 
 
 @pytest.mark.parametrize("rate,n", [(6, 1), (24, 2), (48, 12)])
