@@ -6,8 +6,10 @@ collision probability p through the fixed point
     tau(p) = 2 / (W + 1 + p * W * sum_{i=0}^{m-1} (2p)^i)
     p      = 1 - (1 - tau)^(n - 1)
 
-where W is the minimum contention window size and m the maximum backoff stage:
-the simulated stations' own CW_MIN and MAX_BACKOFF_STAGE from `protocols`.
+where W is the minimum contention window size and m the maximum backoff stage,
+CW_MIN and MAX_BACKOFF_STAGE from `protocols`. The simulated stations never
+reach stage m: a packet is dropped on its MAX_RETRIES-th failure first, so
+their widest window is 2^(MAX_RETRIES - 1) W = 512 slots, not 2^m W.
 The summed form of tau is algebraically identical to the usual
 2(1-2p) / ((1-2p)(W+1) + pW(1-(2p)^m)) but stays finite at p = 1/2.
 """

@@ -153,7 +153,7 @@ class SimConfig:
         profile = phy_profile(self.rate)
         return self.data_us + profile.sifs + ack_airtime(profile)
 
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         if not 1 <= self.n_stations <= _MAX_STATIONS:
             raise ConfigError(f"n_stations must lie in [1, {_MAX_STATIONS}]")
         # random.Random seeds with |seed|, so -s would repeat the run of s
@@ -292,7 +292,6 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
 
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
-    config.validate()
     profile = phy_profile(config.rate)
     cycle_us = cycle_timer(config.n_stations, config.rate, config.schedule)
     rng = RandomSource(config.seed)

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 CW_MIN = 16              # minimum contention window size (draws span [0, CW_MIN - 1])
-MAX_BACKOFF_STAGE = 6    # k never grows past this
-MAX_RETRIES = 6          # retransmissions per packet before it is discarded
+MAX_BACKOFF_STAGE = 6    # Bianchi's m (`bianchi`); the rules never reach it
+MAX_RETRIES = 6          # failures per packet before it is discarded: k < this
 ECA_BACKOFF = CW_MIN // 2 - 1  # deterministic post-success counter: fires on the 8th slot
 REDUCED_WINDOW = 7       # probe fallback draws from [0, REDUCED_WINDOW - 1]
 STICKINESS_LIMIT = 2     # consecutive deterministic collisions tolerated before reverting
@@ -78,9 +78,8 @@ class RandomSource:
 @dataclass(slots=True)
 class StationState:
     kind: ProtocolKind
-    k: int = 0            # current backoff stage
+    k: int = 0            # backoff stage, which is also the retry count
     b: int = 0            # remaining backoff slots
-    ret: int = 0
     consec_failures: int = 0
     busy_probes: int = 0
     deadline: int | None = None  # absolute [us], set only in Deterministic mode
@@ -95,16 +94,15 @@ def initial_station(kind: ProtocolKind, rng: RandomSource) -> StationState:
 def _revert(state: StationState, rng: RandomSource) -> None:
     # back to plain CSMA/CA: stage 0, fresh draw, timers cleared
     state.phase = BACKOFF
-    state.ret = state.consec_failures = state.busy_probes = 0
+    state.k = state.consec_failures = state.busy_probes = 0
     state.deadline = None
-    state.k = 0
     state.b = rng.next_uniform(0, CW_MIN - 1)
 
 
 def succeed(state: StationState, tx_start_us: int, cycle_us: int,
             rng: RandomSource) -> None:
     """ACK received for the transmission that started at tx_start_us."""
-    state.ret = state.k = 0
+    state.k = 0
     if state.kind is _CSMA_CA:
         state.b = rng.next_uniform(0, CW_MIN - 1)
     elif state.kind is _CSMA_ECA:
@@ -121,18 +119,13 @@ def fail(state: StationState, tx_start_us: int, cycle_us: int,
          rng: RandomSource) -> None:
     """ACK timeout elapsed for the transmission that started at tx_start_us.
 
-    Legacy mode doubles the window up to MAX_BACKOFF_STAGE and drops the
-    packet after MAX_RETRIES retries; Deterministic mode keeps its slot one
-    cycle on after a first collision and reverts to legacy contention on a
-    second.
+    Legacy mode doubles the window with each retry and drops the packet on
+    its MAX_RETRIES-th failure, starting the next one at stage 0;
+    Deterministic mode keeps its slot one cycle on after a first collision
+    and reverts to legacy contention on a second.
     """
     if state.phase == BACKOFF:
-        state.ret += 1
-        if state.ret >= MAX_RETRIES:
-            # retry budget exhausted: drop the packet, start fresh on the next one
-            state.ret = state.k = 0
-        else:
-            state.k = min(state.k + 1, MAX_BACKOFF_STAGE)
+        state.k = state.k + 1 if state.k + 1 < MAX_RETRIES else 0
         state.b = rng.next_uniform(0, (CW_MIN << state.k) - 1)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:

@@ -4,19 +4,20 @@ The trace is held as four parallel columns of int64 `start` (microseconds),
 int32 `station`, and int8 `outcome` and `mode` codes, which index OUTCOMES
 and MODES: the engine appends to one `array.array` per column, the trace
 wraps their buffers as numpy arrays without a copy, and the metrics and the
-CSV writer read them. Row k of every column describes one attempt,
-whose frame ends at `start + config.data_us`; rows are in (start, station)
-order. `TraceLog.read_csv` reads back what `TraceLog.write_csv` wrote.
+CSV writer read them. Row k of every column describes one attempt, whose
+frame ends at `start + config.data_us`; rows are in (start, station) order,
+and no start is negative. `TraceLog.read_csv` reads back what
+`TraceLog.write_csv` wrote.
 
 `TraceLog.write_csv` formats the rows in numpy, with no Python object per
 row. A chunk of rows is laid out as a (rows, quads) array of little-endian
 uint32 "quads", each holding 4 text bytes, with NUL for "nothing here". Per
-integer column a row has a lead quad (the comma before the column, if any,
-and its "-" sign) and then its digits in groups of four, most significant
-first, as many groups as the column's widest value needs. A digit group is
-looked up in one table of 0000-9999: zero-padded below the number's leading
-group, with its leading zeros as NUL in the leading group (0 keeps its
-"0"), and four NULs above it. The row ends with its outcome and mode label
+integer column a row has a lead quad (the comma before the column, if any)
+and then its digits in groups of four, most significant first, as many
+groups as the column's largest value needs. A digit group is looked up in
+one table of 0000-9999: zero-padded below the number's leading group, with
+its leading zeros as NUL in the leading group (0 keeps its "0"), and four
+NULs above it. The row ends with its outcome and mode label
 (",success,legacy\\r\\n" and the like), NUL-padded to whole quads. No byte of
 the CSV text is NUL and the quads hold the text in order, so dropping every
 NUL byte leaves exactly the CSV text.
@@ -79,8 +80,6 @@ class TraceLog:
     mode: np.ndarray = ()
 
     def __post_init__(self) -> None:
-        # the metrics divide by the config's window, which validate checks
-        self.config.validate()
         raw = {name: np.asarray(getattr(self, name)) for name in _DTYPES}
         shapes = [c.shape for c in raw.values()]
         if any(shape != shapes[0] or len(shape) != 1 for shape in shapes):
@@ -108,6 +107,8 @@ class TraceLog:
         # the metrics take their window as one slice of the start column
         if (self.start[1:] < self.start[:-1]).any():
             raise ValueError("trace rows must be in start order")
+        if (self.start[:1] < 0).any():  # so no start is negative
+            raise ValueError(f"trace start {self.start[0]} is negative")
         if (self.start[-1:] > _INT64_MAX - self.config.data_us).any():
             raise ValueError("the last frame's end must fit in int64")
 
@@ -150,10 +151,10 @@ class TraceLog:
         label_quads = np.frombuffer(b"".join(
             x.ljust(4 * width, b"\0") for x in labels), "<u4").reshape(-1, width)
         data_us = self.config.data_us
-        # rows are in start order, so the first and last ends are extremes
-        ends = self.start[[0, -1]] + data_us if len(self.start) else self.start
-        groups = [-(-len(str(max(-int(c.min()), int(c.max())))) // 4)
-                  if len(c) else 1 for c in (self.station, self.start, ends)]
+        # rows are in start order, so the last start and end are the largest
+        last = int(self.start[-1]) if len(self.start) else 0
+        groups = [-(-len(str(top)) // 4) for top in (
+            int(self.station.max(initial=0)), last, last + data_us)]
         text = np.empty((min(len(self.start), _ROWS_PER_WRITE),
                          len(groups) + sum(groups) + width), "<u4")
         with open(path, "wb") as fh:
@@ -195,11 +196,10 @@ def _quad(text: bytes) -> int:
 
 
 def _put_int(out: np.ndarray, x: np.ndarray, sep: bytes) -> None:
-    """Write integers x into the (len(x), 1 + groups) quads `out`: `sep`
-    and the sign, then the digit groups of |x|, most significant first."""
-    x = x.astype(np.int64, copy=False)
-    out[:, 0] = np.where(x < 0, _quad(sep + b"-"), _quad(sep))
-    rest = np.abs(x).view(np.uint64)  # exact for INT64_MIN too
+    """Write non-negative integers x into the (len(x), 1 + groups) quads
+    `out`: `sep`, then the digit groups of x, most significant first."""
+    out[:, 0] = _quad(sep)
+    rest = x
     for col in range(out.shape[1] - 1, 0, -1):
         above, rest = rest, rest // 10000
         digits = above - rest * 10000  # faster than np.divmod

@@ -20,7 +20,6 @@ from wlansim.protocols import (
     BACKOFF,
     CW_MIN,
     HOLD,
-    MAX_BACKOFF_STAGE,
     MAX_RETRIES,
     REDUCED,
     ProtocolKind,
@@ -279,9 +278,9 @@ def test_criterion_8_byte_identical_replay(tmp_path):
 
 
 def _check_state(st):
-    assert 0 <= st.k <= MAX_BACKOFF_STAGE
+    # k is the stage and the retry count: a packet is dropped at MAX_RETRIES
+    assert 0 <= st.k < MAX_RETRIES
     assert 0 <= st.b < (CW_MIN << st.k)
-    assert 0 <= st.ret < MAX_RETRIES
     assert st.consec_failures in (0, 1)
     assert st.busy_probes in (0, 1)
     if st.phase != BACKOFF:

@@ -163,6 +163,23 @@ def test_malformed_json_rejected(tmp_path, capsys, text):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, text, prefix", [
+    ("c.ini", "[output]\nformat = xml\n", "format: must be csv or json"),
+    ("c.ini", "[experiment]\nprotocols = Aloha\n",
+     "protocols: unknown name 'Aloha'"),
+    ("c.ini", "[experiment]\nrates = six\n", "rates: expected integers"),
+    ("c.ini", "[experiment]\npayload = 1 2\n",
+     "payload: expected one integer"),
+    ("c.ini", "[schedule]\n48 = 400\n",
+     "schedule.48: expected 'share, epsilon'"),
+    ("c.json", "[1, 2]", "config: top level must be an object"),
+], ids=["format", "protocol", "rates", "payload", "schedule_row", "json_list"])
+def test_plan_refusals(tmp_path, name, text, prefix):
+    with pytest.raises(ConfigError) as refused:
+        parse_config(write(tmp_path / name, text))
+    assert str(refused.value).startswith(prefix)
+
+
 def test_untraced_run_builds_no_record_objects(tmp_path, monkeypatch):
     def refuse(self, *args, **kwargs):
         raise RuntimeError("a TransmissionRecord was built")

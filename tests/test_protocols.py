@@ -5,12 +5,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wlansim.protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, CW_MIN,
-                               ECA_BACKOFF, MAX_BACKOFF_STAGE, MAX_RETRIES,
-                               ProtocolKind, RandomSource, count_down, fail,
-                               initial_station, probe_busy, succeed)
+                               ECA_BACKOFF, MAX_RETRIES, ProtocolKind,
+                               RandomSource, count_down, fail, initial_station,
+                               probe_busy, succeed)
 from wlansim.schedule import cycle_timer
 
 CYCLE = cycle_timer(12, 6)
+TOP = MAX_RETRIES - 1  # the top backoff stage: one more failure drops
 
 
 def fresh(kind, seed=1):
@@ -54,23 +55,21 @@ def test_empty_window_rejected():
 
 def test_draw_ranges():
     # a failure draws from its new stage's window: stage 0 after a dropped
-    # packet, up to [0, 2^6 * CW_MIN - 1] at the top stage
+    # packet, up to [0, 2^5 * CW_MIN - 1] at the top stage
     rng = RandomSource(7)
-    draws0, draws6 = [], []
+    draws0, draws_top = [], []
     for _ in range(200):
-        dropped = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                                      ret=MAX_RETRIES - 1)
+        dropped = dataclasses.replace(fresh(ProtocolKind.CSMA_CA), k=TOP)
         fail(dropped, 0, CYCLE, rng)
         assert dropped.k == 0
         draws0.append(dropped.b)
-        top = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                                  k=5)
+        top = dataclasses.replace(fresh(ProtocolKind.CSMA_CA), k=TOP - 1)
         fail(top, 0, CYCLE, rng)
-        assert top.k == MAX_BACKOFF_STAGE
-        draws6.append(top.b)
+        assert top.k == TOP == 5
+        draws_top.append(top.b)
     assert all(0 <= b <= 15 for b in draws0)
-    assert all(0 <= b <= 1023 for b in draws6)
-    assert max(draws6) > 15  # the window really widened
+    assert all(0 <= b <= 511 for b in draws_top)
+    assert max(draws_top) > 255  # the window really is the top one
 
 
 def test_initial_station():
@@ -82,10 +81,8 @@ def test_initial_station():
 
 def test_on_success_csma_ca():
     rng = RandomSource(3)
-    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA),
-                              k=6, b=900, ret=4)
+    st_ = dataclasses.replace(fresh(ProtocolKind.CSMA_CA), k=4, b=400)
     succeed(st_, 5000, CYCLE, rng)
-    assert st_.ret == 0
     assert st_.k == 0 and 0 <= st_.b <= 15
     assert st_.phase == BACKOFF
 
@@ -118,10 +115,8 @@ def test_on_failure_legacy_backoff_growth():
         fail(st_, 0, CYCLE, rng)
         assert st_.k == expected_k
         assert 0 <= st_.b <= (CW_MIN << expected_k) - 1
-    # stage clamps at m even as retries continue
-    st_ = dataclasses.replace(st_, k=6, b=3, ret=2)
-    fail(st_, 0, CYCLE, rng)
-    assert st_.k == MAX_BACKOFF_STAGE == 6
+    # the window stops at the top stage: the next failure drops the packet
+    assert st_.k == TOP
 
 
 def test_on_failure_discards_at_retry_limit():
@@ -129,9 +124,8 @@ def test_on_failure_discards_at_retry_limit():
     st_ = fresh(ProtocolKind.CSMA_CA)
     for _ in range(5):
         fail(st_, 0, CYCLE, rng)
-    assert st_.ret == 5
-    fail(st_, 0, CYCLE, rng)  # sixth failed retransmission: drop the packet
-    assert st_.ret == 0
+    assert st_.k == 5  # five retries
+    fail(st_, 0, CYCLE, rng)  # sixth failed transmission: drop the packet
     assert st_.k == 0 and 0 <= st_.b <= 15
 
 
@@ -166,19 +160,19 @@ class WindowLog(RandomSource):
 def test_transitions_draw_from_the_module_windows():
     rng = WindowLog()
     st_ = fresh(ProtocolKind.CSMA_CA)
-    for _ in range(MAX_BACKOFF_STAGE + 1):  # one failure past the top stage
-        st_.ret = 0  # keep the packet: no retry-limit drop in between
+    for _ in range(MAX_RETRIES):  # up to the top stage, then the drop
         fail(st_, 0, CYCLE, rng)
-    assert st_.k == MAX_BACKOFF_STAGE
+    assert st_.k == 0
     succeed(st_, 5000, CYCLE, rng)
     # deterministic records revert to legacy on a second collision and on
     # a second busy probe, with a fresh stage-0 draw
     fail(deterministic(consec_failures=1), 40_000, CYCLE, rng)
     det = deterministic(busy_probes=1)
     probe_busy(det, det.deadline + 100, rng)
+    # the top window is CW_MIN << TOP; the drop draws from stage 0 again
     assert rng.windows == (
-        [(0, (CW_MIN << min(k, MAX_BACKOFF_STAGE)) - 1)
-         for k in range(1, MAX_BACKOFF_STAGE + 2)] + [(0, CW_MIN - 1)] * 3)
+        [(0, (CW_MIN << k) - 1) for k in range(1, TOP + 1)]
+        + [(0, CW_MIN - 1)] * 4)
 
 
 def test_legacy_tick():
@@ -229,7 +223,6 @@ def test_ca_and_eca_failures_agree():
         fail(ca, 0, CYCLE, rng_a)
         fail(eca, 0, CYCLE, rng_b)
         assert (ca.k, ca.b) == (eca.k, eca.b)
-        assert ca.ret == eca.ret
 
 
 def step(state, op, rng):
@@ -256,9 +249,8 @@ def test_transition_sequences_hold_invariants(seed, script):
     state = initial_station(ProtocolKind.CF_MAC, rng)
     for op in script:
         step(state, op, rng)
-        assert 0 <= state.k <= MAX_BACKOFF_STAGE
+        assert 0 <= state.k < MAX_RETRIES
         assert 0 <= state.b <= (CW_MIN << state.k) - 1
-        assert 0 <= state.ret <= MAX_RETRIES
         if state.phase != BACKOFF:
             assert state.consec_failures < 2 and state.busy_probes < 2
             assert state.deadline is not None
