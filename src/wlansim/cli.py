@@ -34,15 +34,15 @@ METRICS_COLUMNS = ("station", "throughput_mbps", "jfi", "min_max_ratio",
 _PROTOCOLS = {p.value: p for p in ProtocolKind}
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentPlan:
-    """A validated sweep: every axis combination becomes one run."""
+    """A sweep, checked as it is built: every axis combination becomes one
+    run, whose SimConfig is built here, once, in key order."""
 
-    protocols: list[ProtocolKind] = field(
-        default_factory=lambda: [ProtocolKind.CF_MAC])
-    rates: list[int] = field(default_factory=lambda: [6])
-    stations: list[int] = field(default_factory=lambda: [12])
-    seeds: list[int] = field(default_factory=lambda: [SimConfig.seed])
+    protocols: tuple[ProtocolKind, ...] = (ProtocolKind.CF_MAC,)
+    rates: tuple[int, ...] = (6,)
+    stations: tuple[int, ...] = (12,)
+    seeds: tuple[int, ...] = (SimConfig.seed,)
     duration_s: float = SimConfig.duration_s
     warmup_s: float = SimConfig.warmup_s
     payload_bytes: int = SimConfig.payload_bytes
@@ -50,36 +50,36 @@ class ExperimentPlan:
     schedule: ScheduleTable = SimConfig.schedule
     out_dir: Path = Path("results")
     fmt: str = "csv"
+    # (key, SimConfig) of every run; derive a new plan with replace()
+    cells: tuple[tuple[tuple[str, int, int, int], SimConfig], ...] = field(
+        init=False, compare=False, repr=False)
 
-    def run_keys(self) -> list[tuple[str, int, int, int]]:
-        return sorted((p.value, r, n, s) for p in self.protocols
-                      for r in self.rates for n in self.stations
-                      for s in self.seeds)
-
-    def sim_config(self, key: tuple[str, int, int, int]) -> SimConfig:
-        proto, rate, n, seed = key
-        return SimConfig(n_stations=n, protocol=_PROTOCOLS[proto], rate=rate,
-                         payload_bytes=self.payload_bytes,
-                         duration_s=self.duration_s, seed=seed,
-                         cca_error_prob=self.cca_error_prob,
-                         warmup_s=self.warmup_s, schedule=self.schedule)
-
-    def validate(self) -> None:
+    def __post_init__(self) -> None:
         for name in ("protocols", "rates", "stations", "seeds"):
-            axis = getattr(self, name)
+            # a tuple, so no axis can change under the cells built from it
+            axis = tuple(getattr(self, name))
             if not axis:
                 raise ConfigError(f"{name}: empty sweep axis")
             if len(set(axis)) != len(axis):
                 raise ConfigError(f"{name}: duplicate values")
+            object.__setattr__(self, name, axis)
         for rate in self.rates:
             if rate not in SUPPORTED_RATES:
                 raise ConfigError(f"rate: unsupported value {rate} "
                                   f"(supported: {SUPPORTED_RATES})")
         if self.fmt not in ("csv", "json"):
             raise ConfigError(f"format: must be csv or json, got {self.fmt}")
-        # building each run's SimConfig surfaces its problems now
-        for key in self.run_keys():
-            self.sim_config(key)
+        # building each run's SimConfig is that run's check
+        object.__setattr__(self, "cells", tuple(
+            ((proto, rate, n, seed), SimConfig(
+                n_stations=n, protocol=_PROTOCOLS[proto], rate=rate,
+                payload_bytes=self.payload_bytes, duration_s=self.duration_s,
+                seed=seed, cca_error_prob=self.cca_error_prob,
+                warmup_s=self.warmup_s, schedule=self.schedule))
+            for proto, rate, n, seed in sorted(
+                (p.value, r, n, s) for p in self.protocols
+                for r in self.rates for n in self.stations
+                for s in self.seeds)))
 
 
 def _as_list(value) -> list[str]:
@@ -129,13 +129,18 @@ def _parse_path(key: str, value) -> Path:
 
 
 def _parse_schedule(section: dict) -> ScheduleTable:
-    rows = dict(DEFAULT_TABLE.rows)
+    rows, given = dict(DEFAULT_TABLE.rows), {}  # given: rate -> its key
     for key, value in section.items():
         try:
             rate = int(key)
         except ValueError:
             raise ConfigError(f"schedule: rate keys must be integers, "
                               f"got {key!r}") from None
+        if rate not in SUPPORTED_RATES:
+            raise ConfigError(f"schedule.{key}: rate not in {SUPPORTED_RATES}")
+        if given.setdefault(rate, key) != key:
+            raise ConfigError(f"schedule: {given[rate]} and {key} set the "
+                              f"same rate, give one")
         parts = _as_list(value)
         if len(parts) != 2:
             raise ConfigError(f"schedule.{key}: expected 'share, epsilon', "
@@ -196,12 +201,12 @@ def _sections_from_file(path: Path) -> dict[str, dict]:
 
 def _plan(*layers: dict[str, dict]) -> ExperimentPlan:
     """Apply each layer of plan sections over the defaults, later layers
-    winning, and validate the combined plan once."""
-    plan = ExperimentPlan()
+    winning, then build, and so check, the combined plan once."""
+    fields: dict = {}  # ExperimentPlan field -> value
     for sections in layers:
         for name, section in sections.items():
             if name == "schedule":
-                plan.schedule = _parse_schedule(section)
+                fields["schedule"] = _parse_schedule(section)
                 continue
             if name not in _PLAN_KEYS:
                 raise ConfigError(f"unknown config section: {name}")
@@ -214,13 +219,12 @@ def _plan(*layers: dict[str, dict]) -> ExperimentPlan:
                     raise ConfigError(f"{name}: {given[attr]} and {key} "
                                       f"set the same axis, give one")
                 given[attr] = key
-                setattr(plan, attr, parse(key, value))
-    plan.validate()
-    return plan
+                fields[attr] = parse(key, value)
+    return ExperimentPlan(**fields)
 
 
 def parse_config(path: str | Path) -> ExperimentPlan:
-    """Load and validate a plan; an empty file yields the default plan."""
+    """Build, and so check, a file's plan; an empty file gives the default."""
     return _plan(_sections_from_file(Path(path)))
 
 
@@ -279,15 +283,13 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
     process exit status (0 ok, 2 if any run failed)."""
     if jobs < 1:
         raise ConfigError("jobs: must be at least 1")
-    plan.validate()
     out_dir = plan.out_dir
     out_dir.mkdir(parents=True, exist_ok=True)
     summary_path = out_dir / "experiment_summary.csv"
     jobs_list = []
-    for key in plan.run_keys():
+    for key, cfg in plan.cells:
         stem = f"{key[0]}_r{key[1]}_n{key[2]}_s{key[3]}"
-        jobs_list.append((key, plan.sim_config(key),
-                          str(out_dir / f"trace_{stem}.csv"),
+        jobs_list.append((key, cfg, str(out_dir / f"trace_{stem}.csv"),
                           str(out_dir / f"metrics_{stem}.{plan.fmt}"),
                           plan.fmt))
     if not force:
@@ -306,17 +308,16 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             done = list(pool.map(_execute, jobs_list))
     else:
-        done = map(_execute, jobs_list)
-    results = {key: (report, error) for key, report, error in done}
+        done = list(map(_execute, jobs_list))
 
-    failed = [(key, error) for key, (_, error) in sorted(results.items())
-              if error is not None]
+    # both maps keep job order, which is the plan's key order
+    failed = [(key, error) for key, _, error in done if error is not None]
     for key, error in failed:
         print(f"run {key} failed: {error}", file=sys.stderr)
 
     # reference mean gap per (rate, n, seed) for the normalized column
     cfmac_ref: dict[tuple[int, int, int], float] = {}
-    for key, (report, error) in results.items():
+    for key, report, error in done:
         if error is None and key[0] == ProtocolKind.CF_MAC.value:
             means = [s.mean for s in report.interarrival.values()
                      if s is not None]
@@ -326,8 +327,7 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
     model_p: dict[int, float] = {}
     with open(summary_path, "w", newline="") as fh:
         writer = _row_writer(fh, SUMMARY_COLUMNS)
-        for key in plan.run_keys():
-            report, error = results[key]
+        for key, report, error in done:
             if error is not None:
                 continue
             proto, rate, n, seed = key

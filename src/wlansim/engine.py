@@ -180,9 +180,17 @@ class SimConfig:
         # a shorter cycle could re-schedule a deadline inside the busy
         # period that produced it, which the loop does not support
         floor = self.exchange_us + profile.difs
-        if self.schedule.row(self.rate).total_us < floor:
+        total = self.schedule.row(self.rate).total_us
+        if total < floor:
             raise ConfigError(f"schedule total for rate {self.rate} is too "
                               f"short to cover one frame exchange ({floor} us)")
+        # a deadline is a start (below duration_us) plus one cycle, and
+        # _periodic_tail adds one more cycle to the earliest in int64, so
+        # duration_us - 1 + 2 * cycle must stay below 2**63
+        if self.duration_us + 2 * self.n_stations * total > 2 ** 63:
+            raise ConfigError(f"schedule total for rate {self.rate} overflows "
+                              f"int64 deadlines at n = {self.n_stations} in a "
+                              f"{self.duration_us} us run")
 
 
 def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,

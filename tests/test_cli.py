@@ -1,5 +1,6 @@
 """Front-end tests: config parsing, sweep artifacts, replay, exit codes."""
 import csv
+import dataclasses
 import json
 import multiprocessing
 import textwrap
@@ -17,7 +18,7 @@ from wlansim.cli import (
     parse_config,
     run_plan,
 )
-from wlansim.engine import ConfigError, run_experiment
+from wlansim.engine import ConfigError, SimConfig, run_experiment
 from wlansim.protocols import Mode, ProtocolKind
 from wlansim.schedule import DEFAULT_TABLE, ScheduleRow
 from wlansim.trace import Outcome, TransmissionRecord
@@ -54,7 +55,7 @@ SWEEP_INI = """\
 def test_empty_config_gives_default_plan(tmp_path):
     plan = parse_config(write(tmp_path / "empty.ini", "# nothing here\n"))
     assert plan == ExperimentPlan()
-    assert plan.run_keys() == [("CfMac", 6, 12, 1)]
+    assert [key for key, _ in plan.cells] == [("CfMac", 6, 12, 1)]
 
 
 def test_unknown_key_rejected(tmp_path):
@@ -172,12 +173,59 @@ def test_malformed_json_rejected(tmp_path, capsys, text):
      "payload: expected one integer"),
     ("c.ini", "[schedule]\n48 = 400\n",
      "schedule.48: expected 'share, epsilon'"),
+    ("c.ini", "[schedule]\n48 = 400, 50\n048 = 400, 50\n",
+     "schedule: 48 and 048 set the same rate, give one"),
+    ("c.ini", "[schedule]\n99 = 400, 50\n",
+     "schedule.99: rate not in (6, 11, 12, 24, 48)"),
     ("c.json", "[1, 2]", "config: top level must be an object"),
-], ids=["format", "protocol", "rates", "payload", "schedule_row", "json_list"])
+], ids=["format", "protocol", "rates", "payload", "schedule_row",
+        "schedule_same_rate", "schedule_unsupported_rate", "json_list"])
 def test_plan_refusals(tmp_path, name, text, prefix):
     with pytest.raises(ConfigError) as refused:
         parse_config(write(tmp_path / name, text))
     assert str(refused.value).startswith(prefix)
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(rates=[]), "rates: empty sweep axis"),
+    (dict(rates=[7]), "rate: unsupported value 7"),
+    (dict(seeds=[1, 1]), "seeds: duplicate values"),
+    (dict(fmt="xml"), "format: must be csv or json, got xml"),
+    (dict(stations=[0]), "n_stations must lie in [1, "),
+], ids=["empty_axis", "rate", "duplicate", "format", "cell"])
+def test_building_a_plan_checks_it(fields, message):
+    with pytest.raises(ConfigError) as refused:
+        ExperimentPlan(**fields)
+    assert str(refused.value).startswith(message)
+
+
+def test_a_built_plan_is_frozen():
+    plan = ExperimentPlan(stations=[2])
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        plan.stations = [0]
+    # a derived plan is built, and so checked, anew
+    with pytest.raises(ConfigError, match="n_stations must lie in"):
+        dataclasses.replace(plan, stations=[0])
+    assert [cfg.n_stations for _, cfg in plan.cells] == [2]
+
+
+def count_sim_configs(monkeypatch) -> list:
+    """Record each SimConfig built from now on."""
+    built, check = [], SimConfig.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(SimConfig, "__post_init__", counted)
+    return built
+
+
+def test_one_cell_run_builds_its_config_once(tmp_path, monkeypatch):
+    built = count_sim_configs(monkeypatch)
+    assert main(["run", "--stations", "2", "--duration", "0.05", "--warmup",
+                 "0.01", "--out", str(tmp_path / "out")]) == 0
+    assert len(built) == 1
 
 
 def test_untraced_run_builds_no_record_objects(tmp_path, monkeypatch):
@@ -277,7 +325,7 @@ def test_schedule_override_changes_the_rotation(tmp_path):
         48 = 400, 50
     """)
     plan = parse_config(path)
-    _, report = run_experiment(plan.sim_config(plan.run_keys()[0]))
+    _, report = run_experiment(plan.cells[0][1])
     assert report.aggregate_throughput == pytest.approx(11760 / 450, rel=0.01)
 
 
@@ -293,7 +341,7 @@ def sweep(tmp_path):
 def test_sweep_artifacts_and_row_counts(sweep):
     config, out = sweep
     plan = parse_config(config)
-    assert len(plan.run_keys()) == 12
+    assert len(plan.cells) == 12
     assert run_plan(plan) == 0
     traces = sorted(p.name for p in out.glob("trace_*.csv"))
     metrics = sorted(p.name for p in out.glob("metrics_*.json"))
@@ -306,6 +354,15 @@ def test_sweep_artifacts_and_row_counts(sweep):
     assert list(rows[0]) == list(SUMMARY_COLUMNS)
     aggregates = [r for r in rows if r["station"] == "aggregate"]
     assert len(aggregates) == 12
+
+
+def test_sweep_builds_each_cell_config_once(sweep, monkeypatch):
+    config, _ = sweep
+    built = count_sim_configs(monkeypatch)
+    plan = parse_config(config)
+    assert run_plan(plan) == 0
+    assert len(built) == 12
+    assert [cfg for _, cfg in plan.cells] == built
 
 
 def test_summary_model_column_is_exact(sweep):

@@ -249,6 +249,34 @@ def test_schedule_floor_enforced():
     config(protocol=ProtocolKind.CF_MAC, schedule=exact)
 
 
+@pytest.mark.parametrize("n", [1, 2])
+def test_schedule_ceiling_keeps_deadlines_in_int64(monkeypatch, n):
+    # a start below the end of the run plus two cycles must fit int64:
+    # the longest whole slice is accepted and runs without a warning (every
+    # warning is an error here), one microsecond more is refused
+    def cf_mac(total):
+        return config(n_stations=n, protocol=ProtocolKind.CF_MAC,
+                      schedule=ScheduleTable(rows={48: ScheduleRow(
+                          share_us=total, epsilon_us=0)}))
+
+    duration_us = config().duration_us
+    longest = (2 ** 63 - duration_us) // (2 * n)
+    with pytest.raises(ConfigError, match="overflows int64 deadlines"):
+        cf_mac(longest + 1)
+    cfg = cf_mac(longest)
+    fired = spy_on_tail(monkeypatch)
+    trace, _ = run_experiment(cfg)
+    # each station succeeds once, then waits past the end for its deadline
+    assert fired[-1]
+    assert np.bincount(trace.station[trace.outcome == S]).tolist() == [1] * n
+    # the latest deadline any run of this config can set: the last start
+    # before the end plus one cycle
+    cycle = n * longest
+    tail = engine._periodic_tail([(duration_us - 1 + cycle, 0)], cycle,
+                                 cfg.exchange_us, duration_us)
+    assert [len(column) for column in tail] == [0] * 4
+
+
 def test_run_experiment_validates_first():
     # run_experiment checks nothing itself: no path, `replace` included,
     # hands it a config that was not checked when it was built
