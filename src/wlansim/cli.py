@@ -12,6 +12,8 @@ import argparse
 import configparser
 import csv
 import json
+import os
+import pickle
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -278,6 +280,41 @@ def _execute(job):
     return key, report, None
 
 
+def _map_shares(jobs: list, workers: int) -> list:
+    """`_execute` over `jobs`, in order: forked worker w pipes back the results
+    of jobs[w::workers], this process runs share 0, and a worker that dies
+    fails its share. Every worker is reaped before this returns or raises."""
+    children, done = [], [None] * len(jobs)  # children: (pid, pipe)
+    try:
+        for w in range(1, workers):
+            read_end, write_end = os.pipe()
+            pid = os.fork()
+            if pid == 0:  # the worker never returns into the caller's stack
+                try:
+                    with open(write_end, "wb") as fh:
+                        pickle.dump(list(map(_execute, jobs[w::workers])), fh)
+                    os._exit(0)
+                finally:
+                    os._exit(1)
+            os.close(write_end)
+            children.append((pid, open(read_end, "rb")))
+        done[::workers] = map(_execute, jobs[::workers])
+        sent = [fh.read() for _, fh in children]
+    finally:
+        for _, fh in children:
+            fh.close()  # a worker still writing then fails instead of waiting
+        codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                 for pid, _ in children]
+    for w, (blob, code) in enumerate(zip(sent, codes), 1):
+        try:  # None, a short pickle or a short list all fail to fill it
+            done[w::workers] = pickle.loads(blob) if code == 0 else None
+        except Exception:
+            how = f"signal {-code}" if code < 0 else f"exit status {code}"
+            why = f"worker ended with {how} before sending its results"
+            done[w::workers] = [(j[0], None, why) for j in jobs[w::workers]]
+    return done
+
+
 def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
     """Execute every run in the plan and write the summary; returns the
     process exit status (0 ok, 2 if any run failed)."""
@@ -300,17 +337,11 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                 raise ConfigError(f"output exists, pass --force to "
                                   f"overwrite: {target}")
 
-    # no more workers than cells; one worker runs in this process
-    workers = min(jobs, len(jobs_list))
-    if workers > 1:
-        # imported here, so a plan run in-process never loads the pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            done = list(pool.map(_execute, jobs_list))
-    else:
-        done = list(map(_execute, jobs_list))
+    # one share per worker and no more workers than cells: this process
+    # takes share 0 and forks one worker per other share, where it can fork
+    workers = min(jobs, len(jobs_list)) if hasattr(os, "fork") else 1
+    done = _map_shares(jobs_list, workers)
 
-    # both maps keep job order, which is the plan's key order
     failed = [(key, error) for key, _, error in done if error is not None]
     for key, error in failed:
         print(f"run {key} failed: {error}", file=sys.stderr)

@@ -266,21 +266,21 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
     under the top key transmit (in station order) and are filed anew."""
     # a sorted list is a heap; sentinels keep both children of the top
     grid = sorted((s.b, i) for i, s in enumerate(states)) + [(math.inf, 0)] * 2
-    put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
-    release, banked = 0, 0
+    put_station, put_start, put_outcome = (c.append for c in columns[:3])
+    duration_us, release, banked = config.duration_us, 0, 0
     while True:
         key, i = grid[0]
         if key < banked:
             raise RuntimeError(f"station {i} fired before DIFS")
         t0 = release + difs + (key - banked) * slot
-        if t0 >= config.duration_us:
+        if t0 >= duration_us:  # every row is legacy: fill the mode at once
+            columns[3].frombytes(bytes([_LEGACY]) * len(columns[0]))
             return columns
         banked = key
         if grid[1][0] != key != grid[2][0]:  # no other entry shares the key
             put_station(i)
             put_start(t0)
             put_outcome(_SUCCESS)
-            put_mode(_LEGACY)
             succeed(states[i], t0, cycle_us, rng)
             heapq.heapreplace(grid, (key + states[i].b, i))
             release = t0 + exchange_us
@@ -292,7 +292,6 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
             put_station(i)
             put_start(t0)
             put_outcome(_COLLISION)
-            put_mode(_LEGACY)
             fail(states[i], t0, cycle_us, rng)
             heapq.heappush(grid, (key + states[i].b, i))
         release = t0 + data_us + difs

@@ -2,13 +2,15 @@
 import csv
 import dataclasses
 import json
-import multiprocessing
+import os
+import signal
 import textwrap
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from wlansim import cli
 from wlansim.bianchi import solve_fixed_point
 from wlansim.cli import (
     _PLAN_KEYS,
@@ -427,20 +429,142 @@ def test_parallel_matches_serial(tmp_path):
         assert (serial / name).read_bytes() == (parallel / name).read_bytes()
 
 
+def count_forks(monkeypatch) -> list[int]:
+    """Wraps os.fork; the list gets one entry per fork this process makes."""
+    forks, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def four_cell_plan(out: Path) -> ExperimentPlan:
+    return ExperimentPlan(protocols=[ProtocolKind.CF_MAC,
+                                     ProtocolKind.CSMA_CA],
+                          rates=[24], stations=[2], seeds=[1, 2],
+                          duration_s=0.05, warmup_s=0.01, out_dir=out)
+
+
+def outputs(out: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
 def test_one_cell_plan_starts_no_worker_process(tmp_path, monkeypatch):
-    started = []
-    real = multiprocessing.process.BaseProcess.start
-
-    def start(self):
-        started.append(self)
-        real(self)
-
-    monkeypatch.setattr(multiprocessing.process.BaseProcess, "start", start)
+    forks = count_forks(monkeypatch)
     plan = ExperimentPlan(stations=[2], duration_s=0.05, warmup_s=0.01,
                           out_dir=tmp_path / "out")
     assert run_plan(plan, jobs=3) == 0
-    assert started == []
+    assert forks == []
     assert read_summary(tmp_path / "out")
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4, 9])
+def test_a_plan_forks_one_worker_per_share_but_its_first(tmp_path,
+                                                         monkeypatch, jobs):
+    # 4 cells on 3 shares is uneven (2, 1, 1); the bytes never depend on it
+    assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
+    forks = count_forks(monkeypatch)
+    assert run_plan(four_cell_plan(tmp_path / "shared"), jobs=jobs) == 0
+    assert len(forks) == min(jobs, 4) - 1
+    assert outputs(tmp_path / "shared") == outputs(tmp_path / "serial")
+
+
+def test_a_plan_runs_in_process_where_fork_is_missing(tmp_path, monkeypatch):
+    assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
+    monkeypatch.delattr(os, "fork")
+    assert run_plan(four_cell_plan(tmp_path / "here"), jobs=4) == 0
+    assert outputs(tmp_path / "here") == outputs(tmp_path / "serial")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.parametrize("death, why", [
+    (lambda: os._exit(3), "exit status 3"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL),
+     f"signal {int(signal.SIGKILL)}"),
+])
+def test_a_dead_worker_fails_its_share_alone(tmp_path, monkeypatch, capsys,
+                                             death, why):
+    assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
+    serial = outputs(tmp_path / "serial")
+    keys = [key for key, _ in four_cell_plan(tmp_path).cells]
+    test_pid, execute = os.getpid(), cli._execute
+
+    def dying(job):
+        if job[0] == keys[3] and os.getpid() != test_pid:
+            death()
+        return execute(job)
+
+    monkeypatch.setattr(cli, "_execute", dying)
+    out = tmp_path / "shared"
+    # at jobs 2 this process runs cells 0 and 2, the worker 1 and 3
+    assert run_plan(four_cell_plan(out), jobs=2) == 2
+    err = capsys.readouterr().err
+    for key in keys[1::2]:
+        assert f"run {key} failed: worker ended with {why} before sending " \
+               f"its results" in err
+    assert err.count("failed") == 2
+    assert_no_child_left()
+    for key in keys[::2]:
+        stem = "{}_r{}_n{}_s{}".format(*key)
+        for name in (f"trace_{stem}.csv", f"metrics_{stem}.csv"):
+            assert (out / name).read_bytes() == serial[name]
+    assert {(r["protocol"], int(r["seed"])) for r in read_summary(out)} \
+        == {(key[0], key[3]) for key in keys[::2]}
+
+
+def test_a_worker_never_returns_into_the_caller(tmp_path, monkeypatch,
+                                                capsys):
+    test_pid, execute = os.getpid(), cli._execute
+
+    def leaving(job):
+        if os.getpid() != test_pid:
+            raise SystemExit(0)
+        return execute(job)
+
+    monkeypatch.setattr(cli, "_execute", leaving)
+    try:
+        status = run_plan(four_cell_plan(tmp_path / "out"), jobs=3)
+    finally:
+        # a worker that left run_plan, returning or raising, appends its
+        # own line here before run_plan reaps it
+        with open(tmp_path / "pids", "a") as fh:
+            fh.write(f"{os.getpid()}\n")
+    assert (tmp_path / "pids").read_text() == f"{test_pid}\n"
+    assert status == 2
+    assert capsys.readouterr().err.count("exit status 1") == 2
+    assert_no_child_left()
+
+
+def test_workers_are_reaped_when_this_process_raises(tmp_path, monkeypatch):
+    test_pid, execute = os.getpid(), cli._execute
+
+    def interrupted(job):
+        if os.getpid() == test_pid:
+            raise KeyboardInterrupt
+        return execute(job)
+
+    monkeypatch.setattr(cli, "_execute", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        run_plan(four_cell_plan(tmp_path / "out"), jobs=4)
+    assert_no_child_left()
+
+
+def test_shares_come_back_in_job_order_past_a_full_pipe(monkeypatch):
+    # each worker's results outgrow a pipe's buffer (64 KiB on Linux), so
+    # it blocks on writing until this process reads, before reaping it
+    monkeypatch.setattr(cli, "_execute", lambda job: str(job) * 100_000)
+    assert cli._map_shares(list(range(7)), 3) == [
+        str(job) * 100_000 for job in range(7)]
+    assert_no_child_left()
 
 
 def test_failed_run_reports_and_exits_two(tmp_path, capsys):

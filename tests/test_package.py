@@ -65,17 +65,23 @@ def test_readme_library_use_runs_as_written(tmp_path, monkeypatch, capsys):
 
 
 def test_cli_import_leaves_the_process_pool_unloaded(tmp_path):
-    # a plan run in-process never pays for the pool's import; a fresh
-    # interpreter, since this one may have imported it already
+    # a sweep on forked workers loads no pool module; a fresh interpreter,
+    # since this one may have imported them already
     plan = tmp_path / "plan.ini"
-    plan.write_text("[experiment]\nduration = 0.2\nwarmup = 0.02\n")
+    plan.write_text("[experiment]\nseeds = 1 2\nduration = 0.2\n"
+                    "warmup = 0.02\n[output]\n"
+                    f"directory = {tmp_path / 'out'}\n")
     code = ("import sys\n"
             "import wlansim.cli\n"
-            "wlansim.cli.parse_config(sys.argv[1])\n"
-            "print('concurrent.futures.process' in sys.modules)\n")
+            "plan = wlansim.cli.parse_config(sys.argv[1])\n"
+            "assert wlansim.cli.run_plan(plan, jobs=2) == 0\n"
+            "pools = ('concurrent', 'multiprocessing')\n"
+            "print(sorted(m for m in sys.modules\n"
+            "             if m.split('.')[0] in pools))\n")
     src = str(Path(wlansim.__file__).resolve().parent.parent)
     run = subprocess.run([sys.executable, "-c", code, str(plan)],
                          env={**os.environ, "PYTHONPATH": src},
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
-    assert run.stdout == "False\n"
+    assert run.stdout == "[]\n"
+    assert len(list((tmp_path / "out").glob("trace_*.csv"))) == 2
