@@ -280,39 +280,64 @@ def _execute(job):
     return key, report, None
 
 
-def _map_shares(jobs: list, workers: int) -> list:
-    """`_execute` over `jobs`, in order: forked worker w pipes back the results
-    of jobs[w::workers], this process runs share 0, and a worker that dies
-    fails its share. Every worker is reaped before this returns or raises."""
-    children, done = [], [None] * len(jobs)  # children: (pid, pipe)
+def _map_cells(jobs: list, workers: int) -> list:
+    """`_execute` over `jobs`, in order, on this process and `workers - 1`
+    forked ones. Each takes units of cells (jobs[u::units]) off one pipe
+    until it is empty, so no process waits on another's slow cell; a worker
+    that dies fails the units it took. Every worker is reaped before this
+    returns or raises."""
+    units, (todo, todo_end) = min(len(jobs), 256), os.pipe()
+    # a unit is a byte, so one read takes one; last first, since a higher
+    # rate or station count costs more and the dearest cells go first
+    os.write(todo_end, bytes(reversed(range(units))))
+    os.close(todo_end)  # so a pull from the emptied pipe ends
+
+    def pull() -> list:  # (unit, results) of each unit this process takes
+        return [(u, list(map(_execute, jobs[u::units])))
+                for (u,) in iter(lambda: os.read(todo, 1), b"")]
+
+    children = []  # (pid, results pipe)
     try:
-        for w in range(1, workers):
+        for _ in range(workers - 1):
             read_end, write_end = os.pipe()
-            pid = os.fork()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(read_end), os.close(write_end)
+                raise
             if pid == 0:  # the worker never returns into the caller's stack
-                try:
+                try:  # and keeps no read end, so a write no one reads fails
+                    os.close(read_end)
+                    for _, fh in children:
+                        fh.close()
                     with open(write_end, "wb") as fh:
-                        pickle.dump(list(map(_execute, jobs[w::workers])), fh)
+                        pickle.dump(pull(), fh)
                     os._exit(0)
                 finally:
                     os._exit(1)
             os.close(write_end)
             children.append((pid, open(read_end, "rb")))
-        done[::workers] = map(_execute, jobs[::workers])
+        took = pull()
         sent = [fh.read() for _, fh in children]
     finally:
+        os.read(todo, units)  # take what is left, so no worker starts more
+        os.close(todo)
         for _, fh in children:
-            fh.close()  # a worker still writing then fails instead of waiting
+            fh.close()
         codes = [os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
                  for pid, _ in children]
-    for w, (blob, code) in enumerate(zip(sent, codes), 1):
-        try:  # None, a short pickle or a short list all fail to fill it
-            done[w::workers] = pickle.loads(blob) if code == 0 else None
+    dead, done = [], [None] * len(jobs)
+    for blob, code in zip(sent, codes):
+        try:  # None or a short pickle fails to load
+            took += pickle.loads(blob) if code == 0 else None
         except Exception:
-            how = f"signal {-code}" if code < 0 else f"exit status {code}"
-            why = f"worker ended with {how} before sending its results"
-            done[w::workers] = [(j[0], None, why) for j in jobs[w::workers]]
-    return done
+            dead.append(f"signal {-code}" if code < 0
+                        else f"exit status {code}")
+    for unit, results in took:
+        done[unit::units] = results
+    why = (f"worker ended with {' or '.join(dict.fromkeys(dead))} before "
+           f"sending its results")
+    return [cell or (job[0], None, why) for cell, job in zip(done, jobs)]
 
 
 def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
@@ -337,10 +362,10 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                 raise ConfigError(f"output exists, pass --force to "
                                   f"overwrite: {target}")
 
-    # one share per worker and no more workers than cells: this process
-    # takes share 0 and forks one worker per other share, where it can fork
-    workers = min(jobs, len(jobs_list)) if hasattr(os, "fork") else 1
-    done = _map_shares(jobs_list, workers)
+    # this process and jobs - 1 forked workers, never more than cells; fork
+    # only on Linux, where a process with numpy loaded forks safely
+    workers = min(jobs, len(jobs_list)) if sys.platform == "linux" else 1
+    done = _map_cells(jobs_list, workers)
 
     failed = [(key, error) for key, _, error in done if error is not None]
     for key, error in failed:
@@ -408,7 +433,7 @@ def _build_parser() -> _Parser:
     run.add_argument("--force", action="store_true",
                      help="overwrite existing outputs")
     run.add_argument("--jobs", type=int, default=1,
-                     help="concurrent runs (results merge deterministically)")
+                     help="cells run at once (forked processes, Linux only)")
 
     model = sub.add_parser("model", help="print the fixed-point model table")
     model.add_argument("--stations", default="2,4,8,12,24",

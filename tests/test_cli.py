@@ -1,9 +1,12 @@
 """Front-end tests: config parsing, sweep artifacts, replay, exit codes."""
+import contextlib
 import csv
 import dataclasses
 import json
 import os
+import select
 import signal
+import sys
 import textwrap
 from pathlib import Path
 
@@ -454,6 +457,16 @@ def outputs(out: Path) -> dict[str, bytes]:
     return {p.name: p.read_bytes() for p in out.iterdir()}
 
 
+def read_within(fd: int, size: int, seconds: float = 30) -> bytes:
+    """`size` bytes from a pipe, failing instead of waiting past `seconds`;
+    the tests below hold one process until another has reached a point."""
+    got = b""
+    while len(got) < size:
+        assert select.select([fd], [], [], seconds)[0], "timed out"
+        got += os.read(fd, size - len(got))
+    return got
+
+
 def test_one_cell_plan_starts_no_worker_process(tmp_path, monkeypatch):
     forks = count_forks(monkeypatch)
     plan = ExperimentPlan(stations=[2], duration_s=0.05, warmup_s=0.01,
@@ -464,9 +477,9 @@ def test_one_cell_plan_starts_no_worker_process(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2, 3, 4, 9])
-def test_a_plan_forks_one_worker_per_share_but_its_first(tmp_path,
+def test_a_plan_forks_one_worker_per_job_but_this_process(tmp_path,
                                                          monkeypatch, jobs):
-    # 4 cells on 3 shares is uneven (2, 1, 1); the bytes never depend on it
+    # which process runs which cell varies from run to run; the bytes do not
     assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
     forks = count_forks(monkeypatch)
     assert run_plan(four_cell_plan(tmp_path / "shared"), jobs=jobs) == 0
@@ -474,10 +487,15 @@ def test_a_plan_forks_one_worker_per_share_but_its_first(tmp_path,
     assert outputs(tmp_path / "shared") == outputs(tmp_path / "serial")
 
 
-def test_a_plan_runs_in_process_where_fork_is_missing(tmp_path, monkeypatch):
+@pytest.mark.parametrize("platform", ["darwin", "win32"])
+def test_a_plan_runs_in_process_off_linux(tmp_path, monkeypatch, platform):
     assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
-    monkeypatch.delattr(os, "fork")
+    forks = count_forks(monkeypatch)
+    monkeypatch.setattr(sys, "platform", platform)
+    if platform == "win32":
+        monkeypatch.delattr(os, "fork")
     assert run_plan(four_cell_plan(tmp_path / "here"), jobs=4) == 0
+    assert forks == []
     assert outputs(tmp_path / "here") == outputs(tmp_path / "serial")
 
 
@@ -491,43 +509,58 @@ def assert_no_child_left():
     (lambda: os.kill(os.getpid(), signal.SIGKILL),
      f"signal {int(signal.SIGKILL)}"),
 ])
-def test_a_dead_worker_fails_its_share_alone(tmp_path, monkeypatch, capsys,
-                                             death, why):
+def test_a_dead_worker_fails_the_runs_it_took_alone(tmp_path, monkeypatch,
+                                                    capsys, death, why):
     assert run_plan(four_cell_plan(tmp_path / "serial")) == 0
     serial = outputs(tmp_path / "serial")
     keys = [key for key, _ in four_cell_plan(tmp_path).cells]
     test_pid, execute = os.getpid(), cli._execute
+    took, tell = os.pipe()  # the worker tells the index of each key it takes
+    held, taken = [], []
 
     def dying(job):
-        if job[0] == keys[3] and os.getpid() != test_pid:
-            death()
+        if os.getpid() == test_pid:
+            if not held:  # this process's first cell waits for the worker
+                held.append(read_within(took, 2))  # to take two
+        else:
+            taken.append(job[0])
+            os.write(tell, bytes([keys.index(job[0])]))
+            if len(taken) == 2:  # after it has run the first in full
+                death()
         return execute(job)
 
     monkeypatch.setattr(cli, "_execute", dying)
     out = tmp_path / "shared"
-    # at jobs 2 this process runs cells 0 and 2, the worker 1 and 3
     assert run_plan(four_cell_plan(out), jobs=2) == 2
+    os.close(took), os.close(tell)
     err = capsys.readouterr().err
-    for key in keys[1::2]:
+    lost = [keys[i] for i in held[0]]
+    for key in lost:
         assert f"run {key} failed: worker ended with {why} before sending " \
                f"its results" in err
     assert err.count("failed") == 2
     assert_no_child_left()
-    for key in keys[::2]:
+    kept = [key for key in keys if key not in lost]
+    for key in kept:
         stem = "{}_r{}_n{}_s{}".format(*key)
         for name in (f"trace_{stem}.csv", f"metrics_{stem}.csv"):
             assert (out / name).read_bytes() == serial[name]
     assert {(r["protocol"], int(r["seed"])) for r in read_summary(out)} \
-        == {(key[0], key[3]) for key in keys[::2]}
+        == {(key[0], key[3]) for key in kept}
 
 
 def test_a_worker_never_returns_into_the_caller(tmp_path, monkeypatch,
                                                 capsys):
     test_pid, execute = os.getpid(), cli._execute
+    took, tell = os.pipe()
+    held = []
 
     def leaving(job):
         if os.getpid() != test_pid:
+            os.write(tell, b"x")
             raise SystemExit(0)
+        if not held:  # both workers take a cell before this process goes on
+            held.append(read_within(took, 2))
         return execute(job)
 
     monkeypatch.setattr(cli, "_execute", leaving)
@@ -538,6 +571,7 @@ def test_a_worker_never_returns_into_the_caller(tmp_path, monkeypatch,
         # own line here before run_plan reaps it
         with open(tmp_path / "pids", "a") as fh:
             fh.write(f"{os.getpid()}\n")
+    os.close(took), os.close(tell)
     assert (tmp_path / "pids").read_text() == f"{test_pid}\n"
     assert status == 2
     assert capsys.readouterr().err.count("exit status 1") == 2
@@ -545,25 +579,102 @@ def test_a_worker_never_returns_into_the_caller(tmp_path, monkeypatch,
 
 
 def test_workers_are_reaped_when_this_process_raises(tmp_path, monkeypatch):
-    test_pid, execute = os.getpid(), cli._execute
+    # and start no cell after it raised: the worker ends with the one it held
+    test_pid, execute, waitpid = os.getpid(), cli._execute, os.waitpid
+    (took, tell), (wait, go), held = os.pipe(), os.pipe(), []
 
     def interrupted(job):
         if os.getpid() == test_pid:
-            raise KeyboardInterrupt
+            read_within(took, 1)  # the worker holds a cell, so does this
+            raise KeyboardInterrupt  # process, with two cells left
+        if not held:
+            os.write(tell, b"x")
+            held.append(read_within(wait, 1))
         return execute(job)
 
+    def reaping(pid, options):  # by now, no cell is left to take
+        os.write(go, b"x")
+        return waitpid(pid, options)
+
     monkeypatch.setattr(cli, "_execute", interrupted)
+    monkeypatch.setattr(os, "waitpid", reaping)
+    out = tmp_path / "out"
     with pytest.raises(KeyboardInterrupt):
-        run_plan(four_cell_plan(tmp_path / "out"), jobs=4)
+        run_plan(four_cell_plan(out), jobs=2)
+    monkeypatch.undo()
+    for fd in (took, tell, wait, go):
+        os.close(fd)
+    assert_no_child_left()
+    assert len(list(out.glob("trace_*.csv"))) == 1
+
+
+def test_workers_past_a_full_pipe_are_reaped_when_this_process_raises(
+        monkeypatch):
+    # each worker's results outgrow a pipe's buffer (64 KiB on Linux) while
+    # no one reads them: its write must fail rather than wait for good
+    test_pid, forks = os.getpid(), count_forks(monkeypatch)
+    (took, tell), (wait, go), held = os.pipe(), os.pipe(), []
+
+    def interrupted(job):
+        if os.getpid() == test_pid:
+            read_within(took, 2)  # both workers hold a unit, so does this
+            os.write(go, b"xx")   # process, which lets them go and raises
+            raise KeyboardInterrupt
+        if not held:
+            os.write(tell, b"x")
+            held.append(read_within(wait, 1))
+        return str(job) * 100_000
+
+    def timed_out(signum, frame):
+        raise TimeoutError("a worker outlived this process's raise")
+
+    monkeypatch.setattr(cli, "_execute", interrupted)
+    alarm = signal.signal(signal.SIGALRM, timed_out)
+    signal.alarm(30)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            cli._map_cells([(k,) for k in range(8)], 3)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, alarm)
+        for fd in (took, tell, wait, go):
+            os.close(fd)
+        for pid in forks:  # only on failure: a worker still ours is killed
+            with contextlib.suppress(ChildProcessError):
+                if os.waitpid(pid, os.WNOHANG) == (0, 0):
+                    os.kill(pid, signal.SIGKILL)
+                    os.waitpid(pid, 0)
     assert_no_child_left()
 
 
-def test_shares_come_back_in_job_order_past_a_full_pipe(monkeypatch):
+def test_cells_come_back_in_job_order_past_a_full_pipe(monkeypatch):
     # each worker's results outgrow a pipe's buffer (64 KiB on Linux), so
     # it blocks on writing until this process reads, before reaping it
     monkeypatch.setattr(cli, "_execute", lambda job: str(job) * 100_000)
-    assert cli._map_shares(list(range(7)), 3) == [
+    assert cli._map_cells(list(range(7)), 3) == [
         str(job) * 100_000 for job in range(7)]
+    assert_no_child_left()
+
+
+def test_a_slow_cell_holds_up_only_its_own_process(monkeypatch):
+    # cells are taken one at a time, last first, not dealt out in fixed
+    # shares: the process on cell 5 finishes it only after the other has
+    # run the rest
+    ran, tell = os.pipe()
+
+    def execute(job):
+        if job == (5,):
+            read_within(ran, 5)
+        else:
+            os.write(tell, b"x")
+        return job, os.getpid()
+
+    monkeypatch.setattr(cli, "_execute", execute)
+    results = cli._map_cells([(k,) for k in range(6)], 2)
+    os.close(ran), os.close(tell)
+    assert [job for job, _ in results] == [(k,) for k in range(6)]
+    pids = [pid for _, pid in results]
+    assert pids.count(pids[5]) == 1
     assert_no_child_left()
 
 
