@@ -363,7 +363,7 @@ def run_plan(plan: ExperimentPlan, force: bool = False, jobs: int = 1) -> int:
                                   f"overwrite: {target}")
 
     # this process and jobs - 1 forked workers, never more than cells; fork
-    # only on Linux, where a process with numpy loaded forks safely
+    # only on Linux (macOS forks unsafely with numpy loaded; Windows cannot)
     workers = min(jobs, len(jobs_list)) if sys.platform == "linux" else 1
     done = _map_cells(jobs_list, workers)
 
