@@ -68,10 +68,15 @@ release. One such episode is tolerated; the next busy finding (a new
 transmission interrupting the countdown, a busy sample at its fire instant,
 or a busy deadline probe) reverts the station to legacy contention.
 
-Once every station of an error-free run waits for a deadline and the
-deadlines are at least one frame exchange apart, the round robin is exact
-and absorbing; the loop then appends the rest of the run in closed form
-(`_periodic_tail`) and stops.
+Once every station waits for a deadline (a busy period moved nobody and
+no grid key is live), the earliest one, if its probe samples idle and no
+other deadline falls within one exchange of it, succeeds alone with no
+random draw and goes one cycle on, past all other deadlines. Without
+noise, gaps that wide all round the cycle are absorbing, and the rest of
+the run is closed-form (`_periodic_tail`). With CCA noise up to
+STEP_MAX_P (README, Model notes), `_step_round_robin` appends such rows,
+banking no slots as no grid key is live, until a draw flips or a
+deadline is close, and hands that draw back for the loop's next `chance`.
 
 Optional CCA noise flips the observed channel state with probability
 cca_error_prob at exactly two kinds of instants: deadline probes and
@@ -84,8 +89,8 @@ and is recorded as a Success.
 
 A broken engine invariant (an event in the past, a grid attempt before
 DIFS, a backoff that ran out unnoticed on or off the grid, a deadline
-before the release that follows it) raises RuntimeError; the checks are
-explicit, so `python -O` keeps them.
+before the release that follows it, a stepped station off its deadline)
+raises RuntimeError; the checks are explicit, so `python -O` keeps them.
 """
 from __future__ import annotations
 
@@ -117,6 +122,7 @@ _LEGACY = MODE_CODE[Mode.LEGACY]
 _DETERMINISTIC = MODE_CODE[Mode.DETERMINISTIC]
 _CF_MAC = ProtocolKind.CF_MAC
 _MAX_STATIONS = int(np.iinfo(_DTYPES["station"]).max)  # the trace's column
+STEP_MAX_P = 0.15  # above it, walks are too short to repay their entry
 
 
 @dataclass(frozen=True)
@@ -221,18 +227,12 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
                    head: list[array] | tuple = ((),) * 4) -> list | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
-    Called with the (deadline, station) pair of every station once all n
-    wait for a deadline, none holds, backs off or counts off the grid, and
-    the CCA error probability is 0. If the sorted deadlines, taken
-    cyclically (the last one wraps to the first + cycle), are each at least
-    one frame exchange apart, the state is absorbing: the earliest station
-    finds the channel idle, transmits alone (its exchange ends by the next
-    deadline, so no probe lands inside it), succeeds without a random draw
-    and schedules itself one cycle after this start. The new deadlines have
-    the same gaps rotated by one, so the condition holds again. Station i
-    therefore transmits alone at d_i + k * cycle for every start before the
-    end of the run, and nothing else happens. Returns the columns at their
-    final length: the rows of `head` (none by default), then those successes.
+    Called with every station's (deadline, station) pair once all wait for
+    a deadline without CCA noise. If the sorted deadlines, taken cyclically
+    (the last wraps to the first + cycle), are each one exchange apart or
+    more, station i succeeds alone at d_i + k * cycle for every start in
+    the run (module docstring). Returns the columns at their final length:
+    the rows of `head` (none by default), then those successes.
     """
     order = sorted(deadlines)
     first = np.array([d for d, _ in order], dtype=np.int64)
@@ -257,6 +257,41 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     station[full:] = stations[:part]
     outcome[:], mode[:] = _SUCCESS, _DETERMINISTIC
     return columns
+
+
+def _step_round_robin(release: int, timed: list, due: list, states: list,
+                      rng: RandomSource, columns: list[array], p_err: float,
+                      duration_us: int, exchange_us: int,
+                      cycle_us: int) -> int:
+    """Append the lone successes of an intact noisy round robin (module
+    docstring) from a live timeline top; returns the new release."""
+    if [st.phase for st in states].count(DEADLINE) < len(states):
+        raise RuntimeError("round robin stepped off the deadline phase")
+    put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
+    draw, heappop, heappush = rng.random, heapq.heappop, heapq.heappush
+    while timed[0][0] < duration_us:  # each step leaves a live top
+        if (u := draw()) < p_err:
+            rng.hand_back(u)
+            break
+        start, _, i = entry = heappop(timed)
+        while timed and due[timed[0][2]] is not timed[0]:
+            heappop(timed)
+        if timed and timed[0][0] < start + exchange_us:
+            heappush(timed, entry)
+            rng.hand_back(u)
+            break
+        put_station(i)
+        put_start(start)
+        put_outcome(_SUCCESS)
+        put_mode(_DETERMINISTIC)
+        release = start + exchange_us
+        succeed(st := states[i], start, cycle_us, rng)
+        if st.deadline < release:
+            raise RuntimeError(f"station {i} scheduled its deadline "
+                               f"{st.deadline} us before {release} us")
+        due[i] = entry = (st.deadline, DEADLINE, i)
+        heappush(timed, entry)
+    return release
 
 
 def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
@@ -343,7 +378,7 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
     # per-period scratch, cleared as a period starts: non-transmitters to
     # file after it, flipped stations that hold
     moved, flip_holders = set(), []
-    converge = not p_err
+    converge, step = not p_err, 0 < p_err <= STEP_MAX_P
     clock = 0
 
     def schedule(at: int, phase: int, i: int) -> None:
@@ -359,6 +394,10 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
             raise RuntimeError(f"station {grid[0][1]} fired before DIFS")
         while timed and due[timed[0][2]] is not timed[0]:
             heappop(timed)
+        if step and not (grid or moved):  # an intact round robin
+            release = clock = _step_round_robin(
+                release, timed, due, states, rng, columns, p_err,
+                duration_us, exchange_us, cycle_us)
         t_next = grid_at = (release + difs + (grid[0][0] - banked) * slot
                             if grid else duration_us)
         if timed and timed[0][0] < t_next:

@@ -53,11 +53,13 @@ _CSMA_ECA = ProtocolKind.CSMA_ECA
 
 
 class RandomSource:
-    """Seeded uniform-integer source; one instance drives a whole run."""
+    """Seeded uniform source; one instance drives a whole run."""
 
     def __init__(self, seed: int):
         self._rng = random.Random(seed)
         self._bits = self._rng.getrandbits
+        self.random = self._rng.random  # the stream's next float in [0, 1)
+        self._held: float | None = None  # a handed-back `random` draw
 
     def next_uniform(self, lo: int, hi: int) -> int:
         """Uniform integer in [lo, hi], both ends inclusive: CPython's
@@ -72,7 +74,16 @@ class RandomSource:
         return lo + r
 
     def chance(self, probability: float) -> bool:
-        return self._rng.random() < probability
+        if (u := self._held) is None:
+            return self.random() < probability
+        self._held = None
+        return u < probability
+
+    def hand_back(self, u: float) -> None:
+        """Return u, the last `random` draw, unused: `chance` takes it next."""
+        if self._held is not None:
+            raise RuntimeError("a handed-back draw is already held")
+        self._held = u
 
 
 @dataclass(slots=True)

@@ -1,11 +1,14 @@
 """Engine tests: mid-air joiners, determinism, timing, config checks, the
-grid-only loop against the general one, and the invariant checks."""
+closed-form tail, the noisy round robin stepper and the grid-only loop
+against the general one, and the invariant checks."""
 import dataclasses
 import itertools
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
+from array import array
 from pathlib import Path
 
 import numpy as np
@@ -15,10 +18,11 @@ from wlansim import engine
 from wlansim.engine import ConfigError, SimConfig, run_experiment
 from wlansim.metrics import compute_report, steady_state_start
 from wlansim.phy import UnsupportedRateError, phy_profile
-from wlansim.protocols import Mode, ProtocolKind, RandomSource
+from wlansim.protocols import (DEADLINE, HOLD, Mode, ProtocolKind,
+                               RandomSource, StationState)
 from wlansim.schedule import ScheduleRow, ScheduleTable, cycle_timer
-from wlansim.trace import (MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES, Outcome,
-                           TraceLog)
+from wlansim.trace import (_DTYPES, MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES,
+                           Outcome, TraceLog)
 
 COLUMNS = ("station", "start", "outcome", "mode")
 S, C, E = (OUTCOME_CODE[o] for o in
@@ -384,6 +388,101 @@ def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
     assert not any(fired)
 
 
+# -- noisy round robin stepper -------------------------------------------------
+
+def spy_on_stepper(monkeypatch, step=True):
+    """Record the rows each call of the engine's round robin stepper
+    appended; with step=False it returns at once and the general loop
+    runs every busy period."""
+    rows = []
+    real = engine._step_round_robin
+
+    def stepper(release, timed, due, states, rng, columns, *args):
+        before = len(columns[0])
+        if step:
+            release = real(release, timed, due, states, rng, columns, *args)
+        rows.append(len(columns[0]) - before)
+        return release
+
+    monkeypatch.setattr(engine, "_step_round_robin", stepper)
+    return rows
+
+
+@pytest.mark.parametrize("n", [1, 2, 12, 50])
+@pytest.mark.parametrize("rate", [6, 11, 24, 48])
+def test_round_robin_stepper_matches_the_loop(monkeypatch, rate, n):
+    # at the gate and with it forced open, the stepper's rows are the
+    # general loop's and it leaves the loop the same state and stream
+    for p_err, seed in itertools.product((0.001, 0.01, 0.05, 0.2, 0.5),
+                                         (1, 2, 3)):
+        cfg = config(n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
+                     cca_error_prob=p_err, duration_s=0.3, warmup_s=0.05,
+                     seed=seed)
+        with monkeypatch.context() as m:
+            spy_on_stepper(m, step=False)
+            oracle, report = run_experiment(cfg)
+        fast, fast_report = run_experiment(cfg)
+        with monkeypatch.context() as m:
+            m.setattr(engine, "STEP_MAX_P", 1.0)
+            forced, forced_report = run_experiment(cfg)
+        assert len(oracle.start)
+        assert_same_trace(fast, oracle)
+        assert_same_trace(forced, oracle)
+        assert repr(fast_report) == repr(report) == repr(forced_report)
+
+
+@pytest.mark.parametrize("n", [12, 50])
+@pytest.mark.parametrize("rate", [6, 11, 48])
+def test_stepper_appends_rows_in_the_golden_noisy_sweep(monkeypatch, rate,
+                                                        n):
+    # the golden sweep's CfMac cells at CCA error 0.05 pin stepped rows
+    for seed in (1, 2):
+        with monkeypatch.context() as m:
+            rows = spy_on_stepper(m)
+            trace, _ = run_experiment(config(
+                n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
+                cca_error_prob=0.05, duration_s=0.5, warmup_s=0.1,
+                seed=seed))
+        assert 0 < sum(rows) < len(trace.start), f"seed {seed}"
+
+
+def test_stepper_stops_at_a_flip_and_at_a_close_deadline():
+    # two stations 1000 us apart, 400 us exchanges, a 2000 us cycle: they
+    # take turns until a draw falls below p_err; a second deadline within
+    # one exchange of the first stops the walk before its first row. Either
+    # way the draw that stopped it is the next `chance`'s.
+    p_err = 0.3
+    for second in (1100, 300):
+        states = [StationState(ProtocolKind.CF_MAC, phase=DEADLINE,
+                               deadline=d) for d in (100, second)]
+        due = [(st.deadline, DEADLINE, i) for i, st in enumerate(states)]
+        timed = sorted(due)
+        rng, ref = RandomSource(5), random.Random(5)
+        columns = [array(np.dtype(dt).char) for dt in _DTYPES.values()]
+        release = engine._step_round_robin(0, timed, due, states, rng,
+                                           columns, p_err, 10 ** 9, 400, 2000)
+        rows = len(columns[0])
+        draws = [ref.random() for _ in range(rows + 1)]
+        assert min(draws[:-1], default=1.0) >= p_err
+        if second == 300:
+            assert draws[0] >= p_err and rows == release == 0
+            assert timed[0] is due[0] and len(timed) == 2
+        else:
+            assert draws[-1] < p_err and rows > 1
+            assert list(columns[0]) == [k % 2 for k in range(rows)]
+            assert list(columns[1]) == [100 + 1000 * k for k in range(rows)]
+            assert set(columns[2]) == {S} and set(columns[3]) == {
+                MODE_CODE[Mode.DETERMINISTIC]}
+            assert release == columns[1][-1] + 400
+        assert rng.chance(p_err) is (draws[-1] < p_err)
+        assert rng.random() == ref.random()
+    # a station off its deadline means the round robin is not intact
+    states[1].phase = HOLD
+    with pytest.raises(RuntimeError, match="off the deadline phase"):
+        engine._step_round_robin(0, timed, due, states, rng, columns, p_err,
+                                 10 ** 9, 400, 2000)
+
+
 # -- grid-only loop -----------------------------------------------------------
 
 def on_the_general_loop(monkeypatch):
@@ -452,6 +551,31 @@ for protocol, general, b in [("CsmaCa", False, -1), ("CsmaEca", False, -1),
         print(protocol, general, b, "RuntimeError", exc)
     else:
         print(protocol, general, b, "returned", len(trace.start))
+
+# a noisy round robin with the broken rule inside the stepper alone: only
+# the stepper's own check sees it (without it the walk appends rows at one
+# instant until a draw flips, and the loop then finds an event in the past)
+engine.succeed, engine.fail = succeed, fail
+step = engine._step_round_robin
+
+
+def broken_step(*args):
+    engine.succeed = early_deadline
+    try:
+        return step(*args)
+    finally:
+        engine.succeed = succeed
+
+
+engine._step_round_robin = broken_step
+config = SimConfig(n_stations=12, protocol=ProtocolKind.CF_MAC, rate=48,
+                   duration_s=0.5, warmup_s=0.05, cca_error_prob=0.01)
+try:
+    trace, _ = run_experiment(config)
+except RuntimeError as exc:
+    print("CfMac stepper None RuntimeError", exc)
+else:
+    print("CfMac stepper None returned", len(trace.start))
 """
 
 
@@ -466,11 +590,11 @@ def test_invariant_checks_survive_python_O():
     lines = run.stdout.splitlines()
     assert [line.split(" RuntimeError ")[0] for line in lines] == [
         "CsmaCa False -1", "CsmaEca False -1", "CsmaCa True -1",
-        "CfMac True -1", "CfMac True None"], lines
+        "CfMac True -1", "CfMac True None", "CfMac stepper None"], lines
     # both loops reject a live grid key below the banked slots: an attempt
     # between the release and the end of DIFS
     assert all(line.endswith("fired before DIFS") for line in lines[:4])
-    assert "scheduled its deadline" in lines[4]
+    assert all("scheduled its deadline" in line for line in lines[4:])
 
 
 # -- CCA noise ----------------------------------------------------------------

@@ -1,9 +1,14 @@
 import dataclasses
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from wlansim import protocols
 from wlansim.protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, CW_MIN,
                                ECA_BACKOFF, MAX_RETRIES, ProtocolKind,
                                RandomSource, count_down, fail, initial_station,
@@ -46,6 +51,50 @@ def test_draws_are_the_stdlib_stream(seed, script):
     for w, lo, p in script:
         assert rng.next_uniform(lo, lo + w - 1) == ref.randint(lo, lo + w - 1)
         assert rng.chance(p) is (ref.random() < p)
+
+
+@settings(max_examples=300)
+@given(seed=st.integers(0, 2 ** 64), script=st.lists(
+    st.tuples(st.just("uniform"), WIDTHS)
+    | st.tuples(st.just("chance"), st.floats(0.0, 1.0))
+    | st.tuples(st.just("hand_back"), st.none()), max_size=40))
+def test_handed_back_draws_keep_the_stdlib_stream(seed, script):
+    # a `random` draw handed back is the next `chance`'s, as the engine's
+    # round robin stepper leaves it: the stream stays random.Random's,
+    # consumed once per draw however the hand-backs fall
+    rng, ref = RandomSource(seed), random.Random(seed)
+    held = None
+    for op, arg in script:
+        if op == "uniform":
+            assert rng.next_uniform(0, arg - 1) == ref.randint(0, arg - 1)
+        elif op == "chance":
+            u, held = (ref.random() if held is None else held), None
+            assert rng.chance(arg) is (u < arg)
+        elif held is None:  # a draw looked at and returned unused
+            held = rng.random()
+            assert held == ref.random()
+            rng.hand_back(held)
+    if held is not None:
+        assert rng.chance(0.5) is (held < 0.5)
+    assert [rng.random() for _ in range(3)] == [ref.random() for _ in range(3)]
+
+
+def test_second_hand_back_raises_under_python_O():
+    # one draw is held at most; the check is explicit, so `python -O`
+    # keeps it
+    script = ("from wlansim.protocols import RandomSource\n"
+              "rng = RandomSource(1)\n"
+              "rng.hand_back(rng.random())\n"
+              "try:\n"
+              "    rng.hand_back(0.5)\n"
+              "except RuntimeError as exc:\n"
+              "    print(exc)\n")
+    src = str(Path(protocols.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == "a handed-back draw is already held\n"
 
 
 def test_empty_window_rejected():
