@@ -68,15 +68,16 @@ release. One such episode is tolerated; the next busy finding (a new
 transmission interrupting the countdown, a busy sample at its fire instant,
 or a busy deadline probe) reverts the station to legacy contention.
 
-Once every station waits for a deadline (a busy period moved nobody and
-no grid key is live), the earliest one, if its probe samples idle and no
-other deadline falls within one exchange of it, succeeds alone with no
-random draw and goes one cycle on, past all other deadlines. Without
-noise, gaps that wide all round the cycle are absorbing, and the rest of
-the run is closed-form (`_periodic_tail`). With CCA noise up to
-STEP_MAX_P (README, Model notes), `_step_round_robin` appends such rows,
-banking no slots as no grid key is live, until a draw flips or a
-deadline is close, and hands that draw back for the loop's next `chance`.
+Once no grid key is live, a busy period moved nobody and the CCA error is
+at most STEP_MAX_P (README, Model notes), the loop takes the round robin
+entry. It checks that every station waits for a deadline; then the
+earliest, if its probe samples idle and no other deadline falls within one
+exchange of it, succeeds alone with no random draw and goes one cycle on,
+past all other deadlines. Without noise, gaps that wide all round the
+cycle are absorbing, so the entry tries the rest of the run in closed form
+(`_periodic_tail`). With noise, `_step_round_robin` appends such rows,
+banking no slots as no grid key is live, until a draw flips or a deadline
+is close, and hands that draw back for the loop's next `chance`.
 
 Optional CCA noise flips the observed channel state with probability
 cca_error_prob at exactly two kinds of instants: deadline probes and
@@ -89,8 +90,9 @@ and is recorded as a Success.
 
 A broken engine invariant (an event in the past, a grid attempt before
 DIFS, a backoff that ran out unnoticed on or off the grid, a deadline
-before the release that follows it, a stepped station off its deadline)
-raises RuntimeError; the checks are explicit, so `python -O` keeps them.
+before the release that follows it, a station off its deadline at the
+round robin entry) raises RuntimeError; the checks are explicit, so
+`python -O` keeps them.
 """
 from __future__ import annotations
 
@@ -222,26 +224,26 @@ def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
     return start + exchange_us
 
 
-def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
+def _periodic_tail(due: list[tuple[int, int, int]], cycle_us: int,
                    exchange_us: int, duration_us: int,
-                   head: list[array] | tuple = ((),) * 4) -> list | None:
+                   head: list[array]) -> list | None:
     """The rest of a converged CF-MAC run in closed form, or None.
 
-    Called with every station's (deadline, station) pair once all wait for
-    a deadline without CCA noise. If the sorted deadlines, taken cyclically
-    (the last wraps to the first + cycle), are each one exchange apart or
-    more, station i succeeds alone at d_i + k * cycle for every start in
-    the run (module docstring). Returns the columns at their final length:
-    the rows of `head` (none by default), then those successes.
+    Called at the round robin entry without CCA noise (module docstring)
+    with every station's live (deadline, DEADLINE, station) entry. If the
+    sorted deadlines, taken cyclically (the last wraps to the first +
+    cycle), are each one exchange apart or more, station i succeeds alone
+    at d_i + k * cycle for every start in the run. Returns the columns at
+    their final length: the loop's rows `head`, then those successes.
     """
-    order = sorted(deadlines)
-    first = np.array([d for d, _ in order], dtype=np.int64)
+    deadlines, _, order = zip(*sorted(due))
+    first = np.array(deadlines, dtype=np.int64)
     if (np.diff(first, append=first[0] + cycle_us) < exchange_us).any():
         return None
     # the deadlines lie within one cycle of the first, so every station
     # starts in `cycles` full cycles and the first `part` once more
     n = len(order)
-    cycles = len(range(order[-1][0], duration_us, cycle_us))
+    cycles = len(range(deadlines[-1], duration_us, cycle_us))
     part = int(np.searchsorted(first, duration_us - cycles * cycle_us))
     full = cycles * n
     columns = [np.empty(len(rows) + full + part, dt)
@@ -249,12 +251,11 @@ def _periodic_tail(deadlines: list[tuple[int, int]], cycle_us: int,
     for column, rows in zip(columns, head):
         column[:len(rows)] = rows
     station, start, outcome, mode = (c[len(h):] for c, h in zip(columns, head))
-    stations = np.array([i for _, i in order], dtype=np.int32)
     np.add(first, cycle_us * np.arange(cycles, dtype=np.int64)[:, None],
            out=start[:full].reshape(cycles, n))
     np.add(first[:part], cycles * cycle_us, out=start[full:])
-    station[:full].reshape(cycles, n)[:] = stations
-    station[full:] = stations[:part]
+    station[:full].reshape(cycles, n)[:] = order
+    station[full:] = order[:part]
     outcome[:], mode[:] = _SUCCESS, _DETERMINISTIC
     return columns
 
@@ -265,8 +266,6 @@ def _step_round_robin(release: int, timed: list, due: list, states: list,
                       cycle_us: int) -> int:
     """Append the lone successes of an intact noisy round robin (module
     docstring) from a live timeline top; returns the new release."""
-    if [st.phase for st in states].count(DEADLINE) < len(states):
-        raise RuntimeError("round robin stepped off the deadline phase")
     put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
     draw, heappop, heappush = rng.random, heapq.heappop, heapq.heappush
     while timed[0][0] < duration_us:  # each step leaves a live top
@@ -378,7 +377,6 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
     # per-period scratch, cleared as a period starts: non-transmitters to
     # file after it, flipped stations that hold
     moved, flip_holders = set(), []
-    converge, step = not p_err, 0 < p_err <= STEP_MAX_P
     clock = 0
 
     def schedule(at: int, phase: int, i: int) -> None:
@@ -394,10 +392,17 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
             raise RuntimeError(f"station {grid[0][1]} fired before DIFS")
         while timed and due[timed[0][2]] is not timed[0]:
             heappop(timed)
-        if step and not (grid or moved):  # an intact round robin
-            release = clock = _step_round_robin(
-                release, timed, due, states, rng, columns, p_err,
-                duration_us, exchange_us, cycle_us)
+        if not (grid or moved) and p_err <= STEP_MAX_P:  # round robin entry
+            if [st.phase for st in states].count(DEADLINE) < n:
+                raise RuntimeError("round robin entered off the deadline "
+                                   "phase")
+            if p_err:
+                release = clock = _step_round_robin(
+                    release, timed, due, states, rng, columns, p_err,
+                    duration_us, exchange_us, cycle_us)
+            elif (tail := _periodic_tail(due, cycle_us, exchange_us,
+                                         duration_us, columns)) is not None:
+                return tail
         t_next = grid_at = (release + difs + (grid[0][0] - banked) * slot
                             if grid else duration_us)
         if timed and timed[0][0] < t_next:
@@ -561,12 +566,3 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
             elif gkey[i] != (key := banked + st.b):
                 gkey[i] = key
                 heappush(grid, (key, i))
-
-        # a converged round robin repeats exactly; emit the rest in one go
-        if converge and all(st.phase == DEADLINE for st in states):
-            tail = _periodic_tail([(st.deadline, i)
-                                   for i, st in enumerate(states)],
-                                  cycle_us, exchange_us, duration_us,
-                                  columns)
-            if tail is not None:
-                return tail

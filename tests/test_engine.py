@@ -1,6 +1,6 @@
 """Engine tests: mid-air joiners, determinism, timing, config checks, the
-closed-form tail, the noisy round robin stepper and the grid-only loop
-against the general one, and the invariant checks."""
+closed-form tail, the noisy round robin stepper, the entry they share and
+the grid-only loop against the general one, and the invariant checks."""
 import dataclasses
 import itertools
 import os
@@ -276,8 +276,8 @@ def test_schedule_ceiling_keeps_deadlines_in_int64(monkeypatch, n):
     # the latest deadline any run of this config can set: the last start
     # before the end plus one cycle
     cycle = n * longest
-    tail = engine._periodic_tail([(duration_us - 1 + cycle, 0)], cycle,
-                                 cfg.exchange_us, duration_us)
+    tail = engine._periodic_tail(entries((duration_us - 1 + cycle, 0)), cycle,
+                                 cfg.exchange_us, duration_us, empty_columns())
     assert [len(column) for column in tail] == [0] * 4
 
 
@@ -289,6 +289,16 @@ def test_run_experiment_validates_first():
 
 
 # -- closed-form periodic tail -------------------------------------------------
+
+def entries(*pairs):
+    """The live timeline entries of stations waiting for the deadlines of
+    the (deadline, station) pairs."""
+    return [(d, DEADLINE, i) for d, i in pairs]
+
+
+def empty_columns():
+    return [array(np.dtype(dt).char) for dt in _DTYPES.values()]
+
 
 def spy_on_tail(monkeypatch, fire=True):
     """Count the calls of the engine's periodic-tail helper that emitted a
@@ -309,22 +319,32 @@ def spy_on_tail(monkeypatch, fire=True):
 def test_periodic_tail_closed_form():
     # two stations 500 us apart on a 1000 us cycle with 400 us exchanges;
     # a start at the end of the run is past it
-    columns = engine._periodic_tail([(600, 1), (100, 0)], 1000, 400, 2600)
+    columns = engine._periodic_tail(entries((600, 1), (100, 0)), 1000, 400,
+                                    2600, empty_columns())
     station, start, outcome, mode = (c.tolist() for c in columns)
     assert list(zip(station, start)) == [
         (0, 100), (1, 600), (0, 1100), (1, 1600), (0, 2100)]
     assert {(OUTCOMES[o], MODES[m]) for o, m in zip(outcome, mode)} == {
         (Outcome.SUCCESS, Mode.DETERMINISTIC)}
     assert np.bincount(station).tolist() == [3, 2]
+    # the loop's rows come first, as they were
+    head = empty_columns()
+    for column, value in zip(head, (1, 40, C, MODE_CODE[Mode.LEGACY])):
+        column.append(value)
+    joined = engine._periodic_tail(entries((600, 1), (100, 0)), 1000, 400,
+                                   2600, head)
+    assert [c.tolist() for c in joined] == [
+        [h] + c.tolist() for h, c in zip((1, 40, C, MODE_CODE[Mode.LEGACY]),
+                                         columns)]
     # gaps of exactly one exchange, the wrap included, still qualify
-    assert engine._periodic_tail([(100, 0), (500, 1)], 800, 400,
-                                 2600) is not None
+    assert engine._periodic_tail(entries((100, 0), (500, 1)), 800, 400,
+                                 2600, empty_columns()) is not None
     # a gap shorter than an exchange, inside the cycle or across its wrap,
     # is not periodic
-    assert engine._periodic_tail([(100, 0), (499, 1)], 1000, 400,
-                                 2600) is None
-    assert engine._periodic_tail([(100, 0), (800, 1)], 1000, 400,
-                                 2600) is None
+    assert engine._periodic_tail(entries((100, 0), (499, 1)), 1000, 400,
+                                 2600, empty_columns()) is None
+    assert engine._periodic_tail(entries((100, 0), (800, 1)), 1000, 400,
+                                 2600, empty_columns()) is None
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 50])
@@ -458,7 +478,7 @@ def test_stepper_stops_at_a_flip_and_at_a_close_deadline():
         due = [(st.deadline, DEADLINE, i) for i, st in enumerate(states)]
         timed = sorted(due)
         rng, ref = RandomSource(5), random.Random(5)
-        columns = [array(np.dtype(dt).char) for dt in _DTYPES.values()]
+        columns = empty_columns()
         release = engine._step_round_robin(0, timed, due, states, rng,
                                            columns, p_err, 10 ** 9, 400, 2000)
         rows = len(columns[0])
@@ -476,11 +496,39 @@ def test_stepper_stops_at_a_flip_and_at_a_close_deadline():
             assert release == columns[1][-1] + 400
         assert rng.chance(p_err) is (draws[-1] < p_err)
         assert rng.random() == ref.random()
-    # a station off its deadline means the round robin is not intact
-    states[1].phase = HOLD
-    with pytest.raises(RuntimeError, match="off the deadline phase"):
-        engine._step_round_robin(0, timed, due, states, rng, columns, p_err,
-                                 10 ** 9, 400, 2000)
+
+
+def knock_off_deadline(monkeypatch):
+    """Make each success that leaves every station waiting for a deadline
+    move another station to HOLD behind the loop's back, its deadline entry
+    still live."""
+    states = []
+    initial, succeed = engine.initial_station, engine.succeed
+
+    def capture(*args):
+        states.append(initial(*args))
+        return states[-1]
+
+    def knocking(state, *args):
+        succeed(state, *args)
+        if all(st.phase == DEADLINE for st in states):
+            next(st for st in states if st is not state).phase = HOLD
+
+    monkeypatch.setattr(engine, "initial_station", capture)
+    monkeypatch.setattr(engine, "succeed", knocking)
+
+
+@pytest.mark.parametrize("p_err", [0.0, 0.01])
+def test_round_robin_entry_refuses_a_station_off_its_deadline(monkeypatch,
+                                                              p_err):
+    # both the closed-form tail and the stepper start from one check that
+    # every station waits for its deadline
+    knock_off_deadline(monkeypatch)
+    cfg = config(n_stations=12, protocol=ProtocolKind.CF_MAC,
+                 cca_error_prob=p_err, duration_s=0.5)
+    with pytest.raises(RuntimeError,
+                       match="round robin entered off the deadline phase"):
+        run_experiment(cfg)
 
 
 # -- grid-only loop -----------------------------------------------------------
@@ -516,7 +564,7 @@ def test_grid_loop_matches_the_general_loop(monkeypatch, protocol, rate, n):
 INVARIANT_SCRIPT = """
 from wlansim import engine
 from wlansim.engine import SimConfig, run_experiment
-from wlansim.protocols import DEADLINE, ProtocolKind
+from wlansim.protocols import DEADLINE, HOLD, ProtocolKind
 
 assert not __debug__, "run with python -O"
 succeed, fail, grid_loop = engine.succeed, engine.fail, engine._contend_on_grid
@@ -576,6 +624,34 @@ except RuntimeError as exc:
     print("CfMac stepper None RuntimeError", exc)
 else:
     print("CfMac stepper None returned", len(trace.start))
+
+# a noiseless round robin with a station moved to HOLD behind the loop's
+# back, its deadline entry still live: the round robin entry refuses it
+# before it tries the closed-form tail
+engine._step_round_robin = step
+states, initial = [], engine.initial_station
+
+
+def capture(*args):
+    states.append(initial(*args))
+    return states[-1]
+
+
+def knocking(state, *args):
+    succeed(state, *args)
+    if all(st.phase == DEADLINE for st in states):
+        next(st for st in states if st is not state).phase = HOLD
+
+
+engine.initial_station, engine.succeed = capture, knocking
+config = SimConfig(n_stations=12, protocol=ProtocolKind.CF_MAC, rate=48,
+                   duration_s=0.5, warmup_s=0.05)
+try:
+    trace, _ = run_experiment(config)
+except RuntimeError as exc:
+    print("CfMac entry 0.0 RuntimeError", exc)
+else:
+    print("CfMac entry 0.0 returned", len(trace.start))
 """
 
 
@@ -590,11 +666,13 @@ def test_invariant_checks_survive_python_O():
     lines = run.stdout.splitlines()
     assert [line.split(" RuntimeError ")[0] for line in lines] == [
         "CsmaCa False -1", "CsmaEca False -1", "CsmaCa True -1",
-        "CfMac True -1", "CfMac True None", "CfMac stepper None"], lines
+        "CfMac True -1", "CfMac True None", "CfMac stepper None",
+        "CfMac entry 0.0"], lines
     # both loops reject a live grid key below the banked slots: an attempt
     # between the release and the end of DIFS
     assert all(line.endswith("fired before DIFS") for line in lines[:4])
-    assert all("scheduled its deadline" in line for line in lines[4:])
+    assert all("scheduled its deadline" in line for line in lines[4:6])
+    assert lines[6].endswith("round robin entered off the deadline phase")
 
 
 # -- CCA noise ----------------------------------------------------------------
