@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import operator
 from array import array
 from dataclasses import dataclass
 
@@ -162,6 +163,17 @@ class SimConfig:
         return self.data_us + profile.sifs + ack_airtime(profile)
 
     def __post_init__(self) -> None:
+        # 12.0 stations would fail inside the engine, a 100.5-byte payload
+        # or a rate of 48.0 would run on
+        for name in ("n_stations", "rate", "payload_bytes", "seed"):
+            value = getattr(self, name)
+            try:
+                if isinstance(value, bool):  # an int, but not a count
+                    raise TypeError
+                operator.index(value)
+            except TypeError:
+                raise ConfigError(f"{name} must be an integer, got "
+                                  f"{value!r}") from None
         if not 1 <= self.n_stations <= _MAX_STATIONS:
             raise ConfigError(f"n_stations must lie in [1, {_MAX_STATIONS}]")
         # random.Random seeds with |seed|, so -s would repeat the run of s

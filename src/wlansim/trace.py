@@ -10,17 +10,14 @@ and no start is negative. `TraceLog.read_csv` reads back what
 `TraceLog.write_csv` wrote.
 
 `TraceLog.write_csv` formats the rows in numpy, with no Python object per
-row. A chunk of rows is laid out as a (rows, quads) array of little-endian
-uint32 "quads", each holding 4 text bytes, with NUL for "nothing here". Per
-integer column a row has a lead quad (the comma before the column, if any)
-and then its digits in groups of four, most significant first, as many
-groups as the column's largest value needs. A digit group is looked up in
-one table of 0000-9999: zero-padded below the number's leading group, with
-its leading zeros as NUL in the leading group (0 keeps its "0"), and four
-NULs above it. The row ends with its outcome and mode label
-(",success,legacy\\r\\n" and the like), NUL-padded to whole quads. No byte of
-the CSV text is NUL and the quads hold the text in order, so dropping every
-NUL byte leaves exactly the CSV text.
+row. A chunk of rows is laid out column-major, as (quads, rows) '<u4'
+"quads" of 4 text bytes each, NUL for "nothing here". An integer column
+takes a quad row per group of four digits its largest value needs, most
+significant first, looked up in one table of 0000-9999: zero-padded below
+the number's leading group, bare at it (leading zeros as NUL, but a lone 0
+in the last group is "0") and all NUL above it. Commas and the outcome and
+mode label (",success,legacy\\r\\n" and the like) fill rows of their own. No
+CSV byte is NUL, so the transposed array's bytes without NULs are the text.
 """
 from __future__ import annotations
 
@@ -51,7 +48,7 @@ OUTCOMES = tuple(Outcome)  # outcome code k is OUTCOMES[k]
 MODES = tuple(Mode)        # mode code k is MODES[k]
 OUTCOME_CODE = {o: k for k, o in enumerate(OUTCOMES)}
 MODE_CODE = {m: k for k, m in enumerate(MODES)}
-_ROWS_PER_WRITE = 1 << 10  # bounds the text held in memory while writing
+_ROWS_PER_WRITE = 1 << 11  # bounds the text held in memory while writing
 # each held column's dtype, in the order of TRACE_COLUMNS
 _DTYPES = dict(station=np.int32, start=np.int64, outcome=np.int8, mode=np.int8)
 _INT64_MAX = int(np.iinfo(np.int64).max)
@@ -122,8 +119,8 @@ class TraceLog:
             if header != TRACE_COLUMNS:
                 raise ValueError(f"trace header {header} is not "
                                  f"{TRACE_COLUMNS}")
-            rows = [(int(i), int(s), OUTCOME_CODE[Outcome(o)],
-                     MODE_CODE[Mode(m)], int(e)) for i, s, e, o, m in reader]
+            rows = [(_int(i), _int(s), OUTCOME_CODE[Outcome(o)],
+                     MODE_CODE[Mode(m)], _int(e)) for i, s, e, o, m in reader]
         *columns, ends = zip(*rows) if rows else ((),) * 5
         trace = cls(config, *columns)
         if (trace.start + config.data_us).tolist() != list(ends):
@@ -142,43 +139,51 @@ class TraceLog:
                     self.outcome.tolist(), self.mode.tolist())]
 
     def write_csv(self, path: str | Path) -> None:
-        # the bytes csv.writer would produce (no field needs quoting, rows
-        # end in \r\n), built as text quads (see the module docstring) and
-        # written without their NULs
-        labels = [f",{o.value},{m.value}\r\n".encode() for o in OUTCOMES
-                  for m in MODES]
-        width = -(-max(map(len, labels)) // 4)
-        label_quads = np.frombuffer(b"".join(
-            x.ljust(4 * width, b"\0") for x in labels), "<u4").reshape(-1, width)
+        # csv.writer's bytes (no field needs quoting, rows end in \r\n):
+        # text quads (see the module docstring) written without their NULs
+        table, labels = _digit_quads(), _label_quads()
         data_us = self.config.data_us
         # rows are in start order, so the last start and end are the largest
         last = int(self.start[-1]) if len(self.start) else 0
         groups = [-(-len(str(top)) // 4) for top in (
             int(self.station.max(initial=0)), last, last + data_us)]
-        text = np.empty((min(len(self.start), _ROWS_PER_WRITE),
-                         len(groups) + sum(groups) + width), "<u4")
+        text = np.empty((sum(groups) + 2 + len(labels),
+                         min(len(self.start), _ROWS_PER_WRITE)), "<u4")
+        text[[groups[0], groups[0] + 1 + groups[1]]] = ord(",")  # ",\0\0\0"
+        codes = self.outcome * len(MODES) + self.mode  # a column of labels
         with open(path, "wb") as fh:
             fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
             for lo in range(0, len(self.start), _ROWS_PER_WRITE):
                 rows = slice(lo, lo + _ROWS_PER_WRITE)
                 start = self.start[rows]
-                quads, q = text[:len(start)], 0
+                quads, q = text[:, :len(start)], 0
                 chunk = (self.station[rows], start, start + data_us)
-                for column, sep, g in zip(chunk, (b"", b",", b","), groups):
-                    _put_int(quads[:, q:q + 1 + g], column, sep)
-                    q += 1 + g
-                quads[:, q:] = label_quads.take(
-                    self.outcome[rows] * len(MODES) + self.mode[rows], axis=0)
-                flat = quads.view(np.uint8).ravel()
-                fh.write(flat[flat != 0])
+                for rest, g in zip(chunk, groups):
+                    bare = 10000  # a lone 0 is "0" in the last group only
+                    for row in range(q + g - 1, q, -1):  # below the lead
+                        above, rest = rest, rest // 10000
+                        index = above - rest * 10000  # faster than np.divmod
+                        np.add(index, bare, out=index, where=rest == 0)
+                        table.take(index, out=quads[row], mode="clip")
+                        bare = 20000
+                    table.take(rest + bare, out=quads[q], mode="clip")
+                    q += g + 1
+                labels.take(codes[rows], axis=1, out=quads[-len(labels):],
+                            mode="clip")
+                fh.write(quads.T.tobytes().translate(None, b"\0"))
+
+
+def _int(text: str) -> int:  # refuses text str(int) never gives, as 010
+    if str(value := int(text)) != text:
+        raise ValueError(f"{text!r} is not an integer as write_csv writes one")
+    return value
 
 
 @functools.cache
 def _digit_quads() -> np.ndarray:
     """The text of 0..9999 as '<u4' quads: entry v is v zero-padded to four
-    digits, entry 10000 + v is v with its leading zeros as NUL (0 keeps its
-    "0"), and entry 20000 is four NULs. Built on the first write, not at
-    import."""
+    digits, entry 10000 + v is v with its leading zeros as NUL (0 is "0"),
+    entry 20000 + v the same but 0 is all NUL. Built on the first write."""
     digit = np.arange(ord("0"), ord("9") + 1, dtype=np.uint32)
     # entry 1000a + 100b + 10c + d holds the digit bytes a, b, c, d in order
     padded = np.add.outer(np.add.outer(np.add.outer(
@@ -186,26 +191,20 @@ def _digit_quads() -> np.ndarray:
     bare = padded.copy()
     for k, below in enumerate((1000, 100, 10)):  # byte k is a leading 0
         bare[:below] -= ord("0") << 8 * k
-    quads = np.concatenate((padded, bare, np.zeros(1, np.uint32))).astype("<u4")
+    quads = np.concatenate((padded, bare, bare)).astype("<u4")
+    quads[20000] = 0
     quads.flags.writeable = False
     return quads
 
 
-def _quad(text: bytes) -> int:
-    return int.from_bytes(text.ljust(4, b"\0"), "little")
-
-
-def _put_int(out: np.ndarray, x: np.ndarray, sep: bytes) -> None:
-    """Write non-negative integers x into the (len(x), 1 + groups) quads
-    `out`: `sep`, then the digit groups of x, most significant first."""
-    out[:, 0] = _quad(sep)
-    rest = x
-    for col in range(out.shape[1] - 1, 0, -1):
-        above, rest = rest, rest // 10000
-        digits = above - rest * 10000  # faster than np.divmod
-        # padded below the leading group, bare at it, NULs above it
-        kind = (rest == 0) * 10000
-        if col < out.shape[1] - 1:
-            kind += (above == 0) * 10000
-        out[:, col] = _digit_quads().take(digits.astype(np.intp) + kind)
-
+@functools.cache
+def _label_quads() -> np.ndarray:
+    """The NUL-padded row ends as a (quads, labels) '<u4' table: column
+    o * len(MODES) + m is ",<outcome o>,<mode m>\\r\\n"."""
+    labels = [f",{o.value},{m.value}\r\n".encode() for o in OUTCOMES
+              for m in MODES]
+    width = -(-max(map(len, labels)) // 4)
+    quads = np.frombuffer(b"".join(x.ljust(4 * width, b"\0") for x in labels),
+                          "<u4").reshape(-1, width).T.copy()
+    quads.flags.writeable = False
+    return quads

@@ -242,6 +242,16 @@ def test_config_rejections():
     config(n_stations=2**31 - 1)  # the int32 station column's top
 
 
+@pytest.mark.parametrize("field,value", [
+    ("n_stations", 12.0), ("n_stations", True), ("payload_bytes", 100.5),
+    ("rate", 48.0), ("seed", True), ("seed", "1")])
+def test_config_refuses_fields_that_are_not_integers(field, value):
+    # 12.0 stations failed inside the engine; the others ran on
+    with pytest.raises(ConfigError, match=f"{field} must be an integer"):
+        config(**{field: value})
+    config(**{field: np.int64(getattr(config(), field))})  # operator.index
+
+
 def test_schedule_floor_enforced():
     # the per-station slice must cover data + SIFS + ACK + DIFS
     floor = config().exchange_us + 28

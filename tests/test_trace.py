@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from wlansim import trace as trace_module
-from wlansim.engine import ConfigError, SimConfig
+from wlansim.engine import ConfigError, SimConfig, run_experiment
 from wlansim.protocols import ProtocolKind
 from wlansim.trace import (MODES, OUTCOMES, TRACE_COLUMNS, TraceLog,
                            TransmissionRecord)
@@ -70,6 +70,23 @@ def test_write_csv_matches_csv_writer(rows, tmp_path, monkeypatch):
     n_stations = max((r[0] for r in rows), default=0) + 1
     trace_of(rows, n_stations).write_csv(path)
     assert path.read_bytes() == csv_writer_bytes(in_order(rows))
+
+
+def test_write_csv_matches_csv_writer_on_a_long_run(tmp_path):
+    # the real chunk size on a CF-MAC run past 10**8 us, where start and end
+    # gain a third digit group partway through; the last chunk is shorter
+    # than the others
+    config = SimConfig(n_stations=12, protocol=ProtocolKind.CF_MAC, rate=48,
+                       duration_s=101, warmup_s=1)
+    trace, _ = run_experiment(config)
+    chunk = trace_module._ROWS_PER_WRITE
+    assert trace.start[0] < 10 ** 8 <= trace.start[-1]
+    assert len(trace.start) > chunk and len(trace.start) % chunk
+    path = tmp_path / "t.csv"
+    trace.write_csv(path)
+    assert path.read_bytes() == csv_writer_bytes(zip(
+        trace.station.tolist(), trace.start.tolist(), trace.outcome.tolist(),
+        trace.mode.tolist()))
 
 
 def good_columns(**changes):
@@ -215,7 +232,10 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
     # an end_us one off start_us + 272 us, and one of 524 us, the airtime
     # of the same frame at 24 Mb/s
     b"0,10,281,success,legacy", b"0,10,283,success,legacy",
-    b"0,10,534,success,legacy"])
+    b"0,10,534,success,legacy",
+    # int() reads these as 0, 10, 282, but write_csv never writes them so
+    b"0,1_0,28_2,success,legacy", b"+0, 10,+282,success,legacy",
+    b"0,010,282,success,legacy", b"0,10,282 ,success,legacy"])
 def test_read_csv_rejects_malformed_rows(tmp_path, row):
     path = tmp_path / "t.csv"
     path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
