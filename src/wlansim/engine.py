@@ -98,6 +98,7 @@ from __future__ import annotations
 
 import heapq
 import math
+import numbers
 import operator
 from array import array
 from dataclasses import dataclass
@@ -174,6 +175,13 @@ class SimConfig:
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got "
                                   f"{value!r}") from None
+        # True would run for 1 s, and "1" or None would fail below with a
+        # bare TypeError
+        for name in ("duration_s", "warmup_s", "cca_error_prob"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ConfigError(f"{name} must be a real number, got "
+                                  f"{value!r}")
         if not 1 <= self.n_stations <= _MAX_STATIONS:
             raise ConfigError(f"n_stations must lie in [1, {_MAX_STATIONS}]")
         # random.Random seeds with |seed|, so -s would repeat the run of s

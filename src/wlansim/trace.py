@@ -6,8 +6,8 @@ and MODES: the engine appends to one `array.array` per column, the trace
 wraps their buffers as numpy arrays without a copy, and the metrics and the
 CSV writer read them. Row k of every column describes one attempt, whose
 frame ends at `start + config.data_us`; rows are in (start, station) order,
-and no start is negative. `TraceLog.read_csv` reads back what
-`TraceLog.write_csv` wrote.
+and no start is negative. `TraceLog.read_csv` reads a file exactly when
+`TraceLog.write_csv` of what it read gives the file's bytes back.
 
 `TraceLog.write_csv` formats the rows in numpy, with no Python object per
 row. A chunk of rows is laid out column-major, as (quads, rows) '<u4'
@@ -21,12 +21,12 @@ CSV byte is NUL, so the transposed array's bytes without NULs are the text.
 """
 from __future__ import annotations
 
-import csv
 import functools
+import warnings
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
 
@@ -48,10 +48,17 @@ OUTCOMES = tuple(Outcome)  # outcome code k is OUTCOMES[k]
 MODES = tuple(Mode)        # mode code k is MODES[k]
 OUTCOME_CODE = {o: k for k, o in enumerate(OUTCOMES)}
 MODE_CODE = {m: k for k, m in enumerate(MODES)}
+# label o * len(MODES) + m is ",<outcome o>,<mode m>\r\n", padded in quads
+_LABELS = [f",{o.value},{m.value}\r\n".encode() for o in OUTCOMES
+           for m in MODES]
+_WIDTH = -(-max(map(len, _LABELS)) // 4)  # quads per label
+_LABEL_QUADS = np.frombuffer(b"".join(x.ljust(4 * _WIDTH, b"\0") for x in
+                                      _LABELS), "<u4").reshape(-1, _WIDTH).T
 _ROWS_PER_WRITE = 1 << 11  # bounds the text held in memory while writing
 # each held column's dtype, in the order of TRACE_COLUMNS
 _DTYPES = dict(station=np.int32, start=np.int64, outcome=np.int8, mode=np.int8)
 _INT64_MAX = int(np.iinfo(np.int64).max)
+_HEADER = ",".join(TRACE_COLUMNS).encode() + b"\r\n"
 
 
 @dataclass(frozen=True)
@@ -111,21 +118,30 @@ class TraceLog:
 
     @classmethod
     def read_csv(cls, path: str | Path, config: SimConfig) -> TraceLog:
-        """The trace `write_csv` wrote to `path`, of the run `config`
-        describes."""
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader, ()))
-            if header != TRACE_COLUMNS:
-                raise ValueError(f"trace header {header} is not "
-                                 f"{TRACE_COLUMNS}")
-            rows = [(_int(i), _int(s), OUTCOME_CODE[Outcome(o)],
-                     MODE_CODE[Mode(m)], _int(e)) for i, s, e, o, m in reader]
-        *columns, ends = zip(*rows) if rows else ((),) * 5
-        trace = cls(config, *columns)
-        if (trace.start + config.data_us).tolist() != list(ends):
-            raise ValueError(f"end_us must be start_us + {config.data_us}")
-        return trace
+        """The trace of the run `config` describes in `path`, read leniently,
+        then only if `write_csv`, one-to-one, gives the file's bytes back."""
+        text = Path(path).read_bytes()
+        head, _, body = text.partition(b"\r\n")
+        for code, label in enumerate(_LABELS):  # to ",outcome,mode,"
+            body = body.replace(label, b",%d,%d," % divmod(code, len(MODES)))
+        with warnings.catch_warnings():  # numpy < 2 warns and stops short
+            warnings.simplefilter("ignore", DeprecationWarning)
+            fields = np.fromstring(body, np.int64, sep=",")
+        station, start, _, outcome, mode = fields.reshape(-1, 5).T
+        trace = cls(config, station, start.copy(), outcome, mode)  # contiguous
+        at = 0  # text[:at] is what write_csv writes
+        for chunk in trace._csv_chunks():
+            if (part := text[at:at + len(chunk)]) != chunk:
+                odd = np.frombuffer(part, "u1") != np.frombuffer(
+                    chunk, "u1", len(part))
+                at += int(np.append(odd, True).argmax())  # first odd byte
+                break
+            at += len(chunk)
+        if part == chunk and at == len(text):  # all matched, nothing after
+            return trace
+        if line := text.count(b"\r\n", 0, at):
+            raise ValueError(f"trace row {line - 1} differs from its rewrite")
+        raise ValueError(f"trace header {head[:64]!r} is not {_HEADER!r}")
 
     @property
     def records(self) -> list[TransmissionRecord]:
@@ -139,9 +155,13 @@ class TraceLog:
                     self.outcome.tolist(), self.mode.tolist())]
 
     def write_csv(self, path: str | Path) -> None:
-        # csv.writer's bytes (no field needs quoting, rows end in \r\n):
-        # text quads (see the module docstring) written without their NULs
-        table, labels = _digit_quads(), _label_quads()
+        with open(path, "wb") as fh:
+            fh.writelines(self._csv_chunks())
+
+    def _csv_chunks(self) -> Iterator[bytes]:
+        """The header, then the text of each _ROWS_PER_WRITE rows: csv.writer's
+        bytes (no field needs quoting, rows end in \\r\\n) from text quads."""
+        table, labels = _digit_quads(), _LABEL_QUADS
         data_us = self.config.data_us
         # rows are in start order, so the last start and end are the largest
         last = int(self.start[-1]) if len(self.start) else 0
@@ -151,32 +171,25 @@ class TraceLog:
                          min(len(self.start), _ROWS_PER_WRITE)), "<u4")
         text[[groups[0], groups[0] + 1 + groups[1]]] = ord(",")  # ",\0\0\0"
         codes = self.outcome * len(MODES) + self.mode  # a column of labels
-        with open(path, "wb") as fh:
-            fh.write(",".join(TRACE_COLUMNS).encode() + b"\r\n")
-            for lo in range(0, len(self.start), _ROWS_PER_WRITE):
-                rows = slice(lo, lo + _ROWS_PER_WRITE)
-                start = self.start[rows]
-                quads, q = text[:, :len(start)], 0
-                chunk = (self.station[rows], start, start + data_us)
-                for rest, g in zip(chunk, groups):
-                    bare = 10000  # a lone 0 is "0" in the last group only
-                    for row in range(q + g - 1, q, -1):  # below the lead
-                        above, rest = rest, rest // 10000
-                        index = above - rest * 10000  # faster than np.divmod
-                        np.add(index, bare, out=index, where=rest == 0)
-                        table.take(index, out=quads[row], mode="clip")
-                        bare = 20000
-                    table.take(rest + bare, out=quads[q], mode="clip")
-                    q += g + 1
-                labels.take(codes[rows], axis=1, out=quads[-len(labels):],
-                            mode="clip")
-                fh.write(quads.T.tobytes().translate(None, b"\0"))
-
-
-def _int(text: str) -> int:  # refuses text str(int) never gives, as 010
-    if str(value := int(text)) != text:
-        raise ValueError(f"{text!r} is not an integer as write_csv writes one")
-    return value
+        yield _HEADER
+        for lo in range(0, len(self.start), _ROWS_PER_WRITE):
+            rows = slice(lo, lo + _ROWS_PER_WRITE)
+            start = self.start[rows]
+            quads, q = text[:, :len(start)], 0
+            chunk = (self.station[rows], start, start + data_us)
+            for rest, g in zip(chunk, groups):
+                bare = 10000  # a lone 0 is "0" in the last group only
+                for row in range(q + g - 1, q, -1):  # below the lead
+                    above, rest = rest, rest // 10000
+                    index = above - rest * 10000  # faster than np.divmod
+                    np.add(index, bare, out=index, where=rest == 0)
+                    table.take(index, out=quads[row], mode="clip")
+                    bare = 20000
+                table.take(rest + bare, out=quads[q], mode="clip")
+                q += g + 1
+            labels.take(codes[rows], axis=1, out=quads[-len(labels):],
+                        mode="clip")
+            yield quads.T.tobytes().translate(None, b"\0")
 
 
 @functools.cache
@@ -193,18 +206,5 @@ def _digit_quads() -> np.ndarray:
         bare[:below] -= ord("0") << 8 * k
     quads = np.concatenate((padded, bare, bare)).astype("<u4")
     quads[20000] = 0
-    quads.flags.writeable = False
-    return quads
-
-
-@functools.cache
-def _label_quads() -> np.ndarray:
-    """The NUL-padded row ends as a (quads, labels) '<u4' table: column
-    o * len(MODES) + m is ",<outcome o>,<mode m>\\r\\n"."""
-    labels = [f",{o.value},{m.value}\r\n".encode() for o in OUTCOMES
-              for m in MODES]
-    width = -(-max(map(len, labels)) // 4)
-    quads = np.frombuffer(b"".join(x.ljust(4 * width, b"\0") for x in labels),
-                          "<u4").reshape(-1, width).T.copy()
     quads.flags.writeable = False
     return quads

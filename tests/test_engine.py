@@ -252,6 +252,16 @@ def test_config_refuses_fields_that_are_not_integers(field, value):
     config(**{field: np.int64(getattr(config(), field))})  # operator.index
 
 
+@pytest.mark.parametrize("value", [True, "1", None])
+@pytest.mark.parametrize("field", ["duration_s", "warmup_s", "cca_error_prob"])
+def test_config_refuses_fields_that_are_not_real_numbers(field, value):
+    # duration_s=True, warmup_s=False built a 1 s run, cca_error_prob=True
+    # stayed a bool, and "1" or None raised a bare TypeError
+    with pytest.raises(ConfigError, match=f"{field} must be a real number"):
+        config(**{field: value})
+    config(**{field: np.float64(getattr(config(), field))})
+
+
 def test_schedule_floor_enforced():
     # the per-station slice must cover data + SIFS + ACK + DIFS
     floor = config().exchange_us + 28

@@ -216,7 +216,9 @@ def test_read_csv_inverts_write_csv(rows, tmp_path):
     b"station,start_us,end_us,outcome\r\n",
     b"start_us,station,end_us,outcome,mode\r\n",
     b"0,10,15,success,legacy\r\n",
-], ids=["empty_file", "missing_column", "reordered", "no_header"])
+    b"station,start_us,end_us,outcome,mode\n0,10,282,success,legacy\n",
+], ids=["empty_file", "missing_column", "reordered", "no_header",
+        "lf_line_ends"])
 def test_read_csv_rejects_a_foreign_header(tmp_path, text):
     path = tmp_path / "t.csv"
     path.write_bytes(text)
@@ -224,7 +226,8 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
         TraceLog.read_csv(path, config_of(2))
 
 
-@pytest.mark.parametrize("row", [
+# rows write_csv never writes, each given the \r\n it ends every row with
+ROWS_WRITE_CSV_NEVER_WRITES = [
     b"0,10,15,lost,legacy", b"0,10,15,success,burst", b"0,10,15,success",
     b"0,10,15,success,legacy,1", b"0,ten,15,success,legacy",
     b"2,10,15,success,legacy", b"0,99999999999999999999,15,success,legacy",
@@ -235,13 +238,44 @@ def test_read_csv_rejects_a_foreign_header(tmp_path, text):
     b"0,10,534,success,legacy",
     # int() reads these as 0, 10, 282, but write_csv never writes them so
     b"0,1_0,28_2,success,legacy", b"+0, 10,+282,success,legacy",
-    b"0,010,282,success,legacy", b"0,10,282 ,success,legacy"])
-def test_read_csv_rejects_malformed_rows(tmp_path, row):
+    b"0,010,282,success,legacy", b"0,10,282 ,success,legacy"]
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(row + b"\r\n", id=row.decode())
+    for row in ROWS_WRITE_CSV_NEVER_WRITES] + [
+    # the rows that follow the header, as the file holds them
+    pytest.param(b"0,10,282,success,legacy", id="no_final_crlf"),
+    pytest.param(b"0,10,282,success,legacy\n", id="bare_lf"),
+    pytest.param(b"0,10,282,success,legacy\r\n\r\n", id="empty_line_after"),
+    pytest.param(b"0,10,282,succ,legacy\r\n", id="label_prefix"),
+    pytest.param(b"0,-,282,success,legacy\r\n", id="lone_minus"),
+    # numpy < 2 parses the rows and stops short of the text, with a warning
+    pytest.param(b"0,10,282,success,legacy\r\nend", id="text_after_rows"),
+    # 10**19: a 20-digit start, with its end 272 us later
+    pytest.param(b"0,10000000000000000000,10000000000000000272,success,"
+                 b"legacy\r\n", id="20_digit_start")])
+def test_read_csv_rejects_malformed_rows(tmp_path, text):
     path = tmp_path / "t.csv"
-    path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + row
-                     + b"\r\n")
+    path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + text)
     with pytest.raises(ValueError):
         TraceLog.read_csv(path, config_of(2))
+
+
+@pytest.mark.parametrize("row", [0, 3, 5, 7])
+def test_read_csv_names_the_first_row_that_differs(tmp_path, monkeypatch,
+                                                    row):
+    # chunks of 3 rows, so rows 3 and 5 lie in the second and 7 in the third
+    monkeypatch.setattr(trace_module, "_ROWS_PER_WRITE", 3)
+    path = tmp_path / "t.csv"
+    trace_of([(0, 10 * k, 0, 0) for k in range(8)], 1).write_csv(path)
+    text = path.read_bytes()
+    good = f"\r\n0,{10 * row},{10 * row + DATA_US},".encode()
+    bad = f"\r\n0,{10 * row},{10 * row + DATA_US + 1},".encode()  # one byte
+    assert text.count(good) == 1 and len(bad) == len(good)
+    path.write_bytes(text.replace(good, bad))
+    with pytest.raises(ValueError, match=f"trace row {row} differs"):
+        TraceLog.read_csv(path, config_of(1))
 
 
 def test_records_view_matches_the_columns():
