@@ -69,15 +69,16 @@ transmission interrupting the countdown, a busy sample at its fire instant,
 or a busy deadline probe) reverts the station to legacy contention.
 
 Once no grid key is live, a busy period moved nobody and the CCA error is
-at most STEP_MAX_P (README, Model notes), the loop takes the round robin
-entry. It checks that every station waits for a deadline; then the
-earliest, if its probe samples idle and no other deadline falls within one
-exchange of it, succeeds alone with no random draw and goes one cycle on,
-past all other deadlines. Without noise, gaps that wide all round the
-cycle are absorbing, so the entry tries the rest of the run in closed form
-(`_periodic_tail`). With noise, `_step_round_robin` appends such rows,
-banking no slots as no grid key is live, until a draw flips or a deadline
-is close, and hands that draw back for the loop's next `chance`.
+at most STEP_MAX_P (README, Model notes), the loop checks that every
+station waits for a deadline and walks the round robin
+(`_step_round_robin`): the earliest deadline, if its probe samples idle and
+no other deadline falls within one exchange of it, succeeds alone with no
+random draw and goes one cycle on, past all others; no slot is banked, as
+no grid key is live. A close deadline or a flip, whose draw goes back for
+the loop's next `chance`, stops the walk. Without noise it draws nothing,
+and n rows in a row are a rotation with gaps of an exchange or more all
+round the cycle, which is absorbing: the walk ends the run by repeating it
+in closed form (`_periodic_tail`).
 
 Optional CCA noise flips the observed channel state with probability
 cca_error_prob at exactly two kinds of instants: deadline probes and
@@ -97,6 +98,7 @@ round robin entry) raises RuntimeError; the checks are explicit, so
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
 import numbers
 import operator
@@ -205,16 +207,29 @@ class SimConfig:
             raise ConfigError(f"payload_bytes must lie in [1, "
                               f"{MAX_MSDU_BYTES}]")
         profile = phy_profile(self.rate)
+        # a table built in code reaches here unchecked (the CLI checks the
+        # rows it parses); NaN, an infinity or a fraction fails total_us
+        row = self.schedule.rows.get(self.rate)
+        if row is None or not all(
+                isinstance(v, numbers.Real) and not isinstance(v, bool)
+                for v in (row.share_us, row.epsilon_us)):
+            raise ConfigError(f"schedule for rate {self.rate} needs a row of "
+                              f"two real numbers, got {row!r}")
+        try:
+            total = row.total_us
+        except (ValueError, OverflowError) as exc:
+            raise ConfigError(f"schedule row for rate {self.rate}: "
+                              f"{exc}") from None
         # a shorter cycle could re-schedule a deadline inside the busy
         # period that produced it, which the loop does not support
         floor = self.exchange_us + profile.difs
-        total = self.schedule.row(self.rate).total_us
         if total < floor:
             raise ConfigError(f"schedule total for rate {self.rate} is too "
                               f"short to cover one frame exchange ({floor} us)")
-        # a deadline is a start (below duration_us) plus one cycle, and
-        # _periodic_tail adds one more cycle to the earliest in int64, so
-        # duration_us - 1 + 2 * cycle must stay below 2**63
+        # a deadline is a start (below duration_us) plus one cycle, which
+        # _periodic_tail computes in int64, so duration_us - 1 + cycle must
+        # stay below 2**63; the bound keeps a second cycle of headroom, as
+        # loosening it would accept new configs for no run that needs them
         if self.duration_us + 2 * self.n_stations * total > 2 ** 63:
             raise ConfigError(f"schedule total for rate {self.rate} overflows "
                               f"int64 deadlines at n = {self.n_stations} in a "
@@ -244,26 +259,22 @@ def _join(txs: list[tuple[int, int]], codes: list[int], t0: int, start: int,
     return start + exchange_us
 
 
-def _periodic_tail(due: list[tuple[int, int, int]], cycle_us: int,
-                   exchange_us: int, duration_us: int,
-                   head: list[array]) -> list | None:
-    """The rest of a converged CF-MAC run in closed form, or None.
+def _periodic_tail(head: list[array], n: int, cycle_us: int,
+                   duration_us: int) -> list:
+    """The rest of a converged CF-MAC run in closed form.
 
-    Called at the round robin entry without CCA noise (module docstring)
-    with every station's live (deadline, DEADLINE, station) entry. If the
-    sorted deadlines, taken cyclically (the last wraps to the first +
-    cycle), are each one exchange apart or more, station i succeeds alone
-    at d_i + k * cycle for every start in the run. Returns the columns at
-    their final length: the loop's rows `head`, then those successes.
+    `head` ends in a noiseless walk's n lone successes in a row, at starts
+    s_1 < ... < s_n each checked to lie one exchange or more before the
+    next live deadline, s_1 + cycle for s_n (`_step_round_robin`). So the
+    deadlines s_i + cycle are that far apart cyclically, and station i
+    succeeds alone at s_i + k * cycle for every k >= 1 that starts in the
+    run. Returns the columns at their final length: `head`, then those.
     """
-    deadlines, _, order = zip(*sorted(due))
-    first = np.array(deadlines, dtype=np.int64)
-    if (np.diff(first, append=first[0] + cycle_us) < exchange_us).any():
-        return None
+    order = head[0][-n:]
+    first = np.array(head[1][-n:], dtype=np.int64) + cycle_us
     # the deadlines lie within one cycle of the first, so every station
     # starts in `cycles` full cycles and the first `part` once more
-    n = len(order)
-    cycles = len(range(deadlines[-1], duration_us, cycle_us))
+    cycles = len(range(head[1][-1] + cycle_us, duration_us, cycle_us))
     part = int(np.searchsorted(first, duration_us - cycles * cycle_us))
     full = cycles * n
     columns = [np.empty(len(rows) + full + part, dt)
@@ -283,22 +294,28 @@ def _periodic_tail(due: list[tuple[int, int, int]], cycle_us: int,
 def _step_round_robin(release: int, timed: list, due: list, states: list,
                       rng: RandomSource, columns: list[array], p_err: float,
                       duration_us: int, exchange_us: int,
-                      cycle_us: int) -> int:
-    """Append the lone successes of an intact noisy round robin (module
-    docstring) from a live timeline top; returns the new release."""
+                      cycle_us: int) -> int | list:
+    """Append the lone successes of an intact round robin (module
+    docstring) from a live timeline top; returns the new release, or the
+    final columns once a noiseless walk has appended one rotation."""
     put_station, put_start, put_outcome, put_mode = (c.append for c in columns)
-    draw, heappop, heappush = rng.random, heapq.heappop, heapq.heappush
-    while timed[0][0] < duration_us:  # each step leaves a live top
+    heappop, heappush = heapq.heappop, heapq.heappush
+    # without noise nothing draws (float() is 0.0) and a rotation ends it
+    draw, n = (rng.random if p_err else float), len(states)
+    for _ in itertools.repeat(None) if p_err else range(n):
+        if timed[0][0] >= duration_us:  # each step leaves a live top
+            return release
         if (u := draw()) < p_err:
             rng.hand_back(u)
-            break
+            return release
         start, _, i = entry = heappop(timed)
         while timed and due[timed[0][2]] is not timed[0]:
             heappop(timed)
         if timed and timed[0][0] < start + exchange_us:
             heappush(timed, entry)
-            rng.hand_back(u)
-            break
+            if p_err:
+                rng.hand_back(u)
+            return release
         put_station(i)
         put_start(start)
         put_outcome(_SUCCESS)
@@ -310,7 +327,7 @@ def _step_round_robin(release: int, timed: list, due: list, states: list,
                                f"{st.deadline} us before {release} us")
         due[i] = entry = (st.deadline, DEADLINE, i)
         heappush(timed, entry)
-    return release
+    return _periodic_tail(columns, n, cycle_us, duration_us)
 
 
 def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
@@ -416,13 +433,12 @@ def _contend(config: SimConfig, slot: int, difs: int, data_us: int,
             if [st.phase for st in states].count(DEADLINE) < n:
                 raise RuntimeError("round robin entered off the deadline "
                                    "phase")
-            if p_err:
-                release = clock = _step_round_robin(
-                    release, timed, due, states, rng, columns, p_err,
-                    duration_us, exchange_us, cycle_us)
-            elif (tail := _periodic_tail(due, cycle_us, exchange_us,
-                                         duration_us, columns)) is not None:
-                return tail
+            walked = _step_round_robin(release, timed, due, states, rng,
+                                       columns, p_err, duration_us,
+                                       exchange_us, cycle_us)
+            if isinstance(walked, list):  # the closed-form tail
+                return walked
+            release = clock = walked
         t_next = grid_at = (release + difs + (grid[0][0] - banked) * slot
                             if grid else duration_us)
         if timed and timed[0][0] < t_next:

@@ -21,7 +21,9 @@ CSV byte is NUL, so the transposed array's bytes without NULs are the text.
 """
 from __future__ import annotations
 
+import bisect
 import functools
+import re
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -119,29 +121,45 @@ class TraceLog:
     @classmethod
     def read_csv(cls, path: str | Path, config: SimConfig) -> TraceLog:
         """The trace of the run `config` describes in `path`, read leniently,
-        then only if `write_csv`, one-to-one, gives the file's bytes back."""
+        then only if `write_csv`, one-to-one, gives the file's bytes back. A
+        refusal names the file and its header or its first row at fault."""
         text = Path(path).read_bytes()
-        head, _, body = text.partition(b"\r\n")
+        if isinstance(read := cls._round_trip(text, config), TraceLog):
+            return read
+        # each line end closes a prefix that is a file of its own, refused
+        # exactly when it holds the first line at fault
+        ends = [m.end() for m in re.finditer(b"\r\n", text)] + [len(text)]
+        line = bisect.bisect_left(ends, True, key=lambda end: not isinstance(
+            cls._round_trip(text[:end], config), TraceLog))
+        if not line:
+            head = text.partition(b"\r\n")[0]
+            raise ValueError(f"{path}: trace header {head[:64]!r} is not "
+                             f"{_HEADER!r}")
+        why = cls._round_trip(text[:ends[line]], config)
+        raise ValueError(f"{path}: trace row {line - 1} {why}")
+
+    @classmethod
+    def _round_trip(cls, text: bytes, config: SimConfig) -> TraceLog | str:
+        """The trace in `text`, read leniently, if `write_csv` of it gives
+        `text` back, else why not, worded to follow "trace row k"."""
+        body = text.partition(b"\r\n")[2]
         for code, label in enumerate(_LABELS):  # to ",outcome,mode,"
             body = body.replace(label, b",%d,%d," % divmod(code, len(MODES)))
-        with warnings.catch_warnings():  # numpy < 2 warns and stops short
-            warnings.simplefilter("ignore", DeprecationWarning)
-            fields = np.fromstring(body, np.int64, sep=",")
-        station, start, _, outcome, mode = fields.reshape(-1, 5).T
-        trace = cls(config, station, start.copy(), outcome, mode)  # contiguous
+        try:
+            with warnings.catch_warnings():  # numpy < 2 warns and stops short
+                warnings.simplefilter("ignore", DeprecationWarning)
+                fields = np.fromstring(body, np.int64, sep=",")
+            station, start, _, outcome, mode = fields.reshape(-1, 5).T
+            trace = cls(config, station, start.copy(),  # contiguous
+                        outcome, mode)
+        except ValueError as exc:
+            return f"is refused: {exc}"
         at = 0  # text[:at] is what write_csv writes
         for chunk in trace._csv_chunks():
-            if (part := text[at:at + len(chunk)]) != chunk:
-                odd = np.frombuffer(part, "u1") != np.frombuffer(
-                    chunk, "u1", len(part))
-                at += int(np.append(odd, True).argmax())  # first odd byte
-                break
+            if text[at:at + len(chunk)] != chunk:
+                return "differs from its rewrite"
             at += len(chunk)
-        if part == chunk and at == len(text):  # all matched, nothing after
-            return trace
-        if line := text.count(b"\r\n", 0, at):
-            raise ValueError(f"trace row {line - 1} differs from its rewrite")
-        raise ValueError(f"trace header {head[:64]!r} is not {_HEADER!r}")
+        return trace if at == len(text) else "differs from its rewrite"
 
     @property
     def records(self) -> list[TransmissionRecord]:

@@ -1,6 +1,6 @@
 """Engine tests: mid-air joiners, determinism, timing, config checks, the
-closed-form tail, the noisy round robin stepper, the entry they share and
-the grid-only loop against the general one, and the invariant checks."""
+round robin walk, its closed-form tail and its entry, the grid-only loop
+against the general one, and the invariant checks."""
 import dataclasses
 import itertools
 import os
@@ -273,8 +273,21 @@ def test_schedule_floor_enforced():
     config(protocol=ProtocolKind.CF_MAC, schedule=exact)
 
 
+@pytest.mark.parametrize("schedule", [
+    ScheduleTable(rows={}), ScheduleTable(rows={48: ScheduleRow("400", "25")}),
+    ScheduleTable(rows={48: ScheduleRow(400, None)}),
+    ScheduleTable(rows={48: ScheduleRow(float("nan"), 25)}),
+    ScheduleTable(rows={48: ScheduleRow(float("inf"), 25)})],
+    ids=["no_row", "text", "none", "nan", "inf"])
+def test_config_refuses_a_bad_schedule_row(schedule):
+    # these raised ValueError, a misleading ValueError ("must be whole
+    # microseconds"), TypeError, ValueError and OverflowError
+    with pytest.raises(ConfigError, match=r"rate 48\b"):
+        config(protocol=ProtocolKind.CF_MAC, schedule=schedule)
+
+
 @pytest.mark.parametrize("n", [1, 2])
-def test_schedule_ceiling_keeps_deadlines_in_int64(monkeypatch, n):
+def test_schedule_ceiling_keeps_deadlines_in_int64(n):
     # a start below the end of the run plus two cycles must fit int64:
     # the longest whole slice is accepted and runs without a warning (every
     # warning is an error here), one microsecond more is refused
@@ -288,17 +301,15 @@ def test_schedule_ceiling_keeps_deadlines_in_int64(monkeypatch, n):
     with pytest.raises(ConfigError, match="overflows int64 deadlines"):
         cf_mac(longest + 1)
     cfg = cf_mac(longest)
-    fired = spy_on_tail(monkeypatch)
     trace, _ = run_experiment(cfg)
     # each station succeeds once, then waits past the end for its deadline
-    assert fired[-1]
     assert np.bincount(trace.station[trace.outcome == S]).tolist() == [1] * n
-    # the latest deadline any run of this config can set: the last start
-    # before the end plus one cycle
-    cycle = n * longest
-    tail = engine._periodic_tail(entries((duration_us - 1 + cycle, 0)), cycle,
-                                 cfg.exchange_us, duration_us, empty_columns())
-    assert [len(column) for column in tail] == [0] * 4
+    # the latest deadlines any run of this config can set: a rotation whose
+    # last start is the last microsecond of the run, plus one cycle each
+    head = rotation(*((duration_us - 1 - (n - 1 - i) * longest, i)
+                      for i in range(n)))
+    tail = engine._periodic_tail(head, n, n * longest, duration_us)
+    assert [c.tolist() for c in tail] == [c.tolist() for c in head]
 
 
 def test_run_experiment_validates_first():
@@ -310,61 +321,65 @@ def test_run_experiment_validates_first():
 
 # -- closed-form periodic tail -------------------------------------------------
 
-def entries(*pairs):
-    """The live timeline entries of stations waiting for the deadlines of
-    the (deadline, station) pairs."""
-    return [(d, DEADLINE, i) for d, i in pairs]
-
-
 def empty_columns():
     return [array(np.dtype(dt).char) for dt in _DTYPES.values()]
 
 
-def spy_on_tail(monkeypatch, fire=True):
-    """Count the calls of the engine's periodic-tail helper that emitted a
-    tail; with fire=False the helper is patched out and the loop runs to
-    the end of the run."""
-    fired = []
+def rotation(*pairs, head=()):
+    """Columns holding the rows `head`, then a lone deterministic success
+    for each (start, station) pair."""
+    columns = empty_columns()
+    for row in [*head, *((i, start, S, MODE_CODE[Mode.DETERMINISTIC])
+                          for start, i in pairs)]:
+        for column, value in zip(columns, row):
+            column.append(value)
+    return columns
+
+
+def spy_on_tail(monkeypatch):
+    """Record every tail the engine's closed-form helper returned."""
+    tails = []
     real = engine._periodic_tail
 
     def helper(*args):
-        tail = real(*args) if fire else None
-        fired.append(tail is not None)
-        return tail
+        tails.append(real(*args))
+        return tails[-1]
 
     monkeypatch.setattr(engine, "_periodic_tail", helper)
-    return fired
+    return tails
 
 
 def test_periodic_tail_closed_form():
-    # two stations 500 us apart on a 1000 us cycle with 400 us exchanges;
-    # a start at the end of the run is past it
-    columns = engine._periodic_tail(entries((600, 1), (100, 0)), 1000, 400,
-                                    2600, empty_columns())
+    # a rotation of two stations 500 us apart on a 1000 us cycle repeats
+    # after the rows it ends; a start at the end of the run is past it
+    columns = engine._periodic_tail(rotation((100, 0), (600, 1)), 2, 1000,
+                                    2600)
     station, start, outcome, mode = (c.tolist() for c in columns)
     assert list(zip(station, start)) == [
         (0, 100), (1, 600), (0, 1100), (1, 1600), (0, 2100)]
     assert {(OUTCOMES[o], MODES[m]) for o, m in zip(outcome, mode)} == {
         (Outcome.SUCCESS, Mode.DETERMINISTIC)}
     assert np.bincount(station).tolist() == [3, 2]
-    # the loop's rows come first, as they were
-    head = empty_columns()
-    for column, value in zip(head, (1, 40, C, MODE_CODE[Mode.LEGACY])):
-        column.append(value)
-    joined = engine._periodic_tail(entries((600, 1), (100, 0)), 1000, 400,
-                                   2600, head)
+    # the loop's rows come first, as they were, and only the last n rows
+    # are the rotation
+    legacy = (1, 40, C, MODE_CODE[Mode.LEGACY])
+    joined = engine._periodic_tail(rotation((100, 0), (600, 1), head=[legacy]),
+                                   2, 1000, 2600)
     assert [c.tolist() for c in joined] == [
-        [h] + c.tolist() for h, c in zip((1, 40, C, MODE_CODE[Mode.LEGACY]),
-                                         columns)]
-    # gaps of exactly one exchange, the wrap included, still qualify
-    assert engine._periodic_tail(entries((100, 0), (500, 1)), 800, 400,
-                                 2600, empty_columns()) is not None
-    # a gap shorter than an exchange, inside the cycle or across its wrap,
-    # is not periodic
-    assert engine._periodic_tail(entries((100, 0), (499, 1)), 1000, 400,
-                                 2600, empty_columns()) is None
-    assert engine._periodic_tail(entries((100, 0), (800, 1)), 1000, 400,
-                                 2600, empty_columns()) is None
+        [h] + c.tolist() for h, c in zip(legacy, columns)]
+    # next deadlines at or past the end give no rows, one before it a row
+    for duration_us, rows in ((1100, 2), (1101, 3), (1600, 3), (1601, 4)):
+        tail = engine._periodic_tail(rotation((100, 0), (600, 1)), 2, 1000,
+                                     duration_us)
+        assert [len(c) for c in tail] == [rows] * 4
+        assert tail[1].tolist() == [100, 600, 1100, 1600][:rows]
+    # a last start at duration_us - 1 whose next deadline is the top of
+    # int64 still gives no rows
+    cycle = 2 ** 63 - 2600
+    tail = engine._periodic_tail(rotation((100, 0), (2599, 1)), 2, cycle,
+                                 2600)
+    assert [c.tolist() for c in tail] == [[0, 1], [100, 2599], [S] * 2,
+                                          [MODE_CODE[Mode.DETERMINISTIC]] * 2]
 
 
 @pytest.mark.parametrize("n", [1, 2, 12, 50])
@@ -374,27 +389,50 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
         cfg = config(n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
                      duration_s=2.0, warmup_s=0.1, seed=seed)
         with monkeypatch.context() as m:
-            spy_on_tail(m, fire=False)
+            spy_on_stepper(m, step=False)
             oracle, _ = run_experiment(cfg)
         with monkeypatch.context() as m:
-            fired = spy_on_tail(m)
+            tails = spy_on_tail(m)
             fast, _ = run_experiment(cfg)
         assert_same_trace(fast, oracle)
+        assert len(tails) <= 1
         settled_at = steady_state_start(oracle)
         if settled_at is not None \
                 and settled_at <= cfg.duration_us - 2 * cycle_timer(n, rate):
-            assert any(fired), f"rate {rate} n {n} seed {seed}"
+            assert tails, f"rate {rate} n {n} seed {seed}"
+
+
+@pytest.mark.parametrize("duration_s", [1.0, 2.0])
+def test_a_converging_run_takes_the_tail_once(monkeypatch, duration_s):
+    # the walk proves one rotation and ends the run in closed form: one
+    # call, where re-testing the round robin after every quiet busy period
+    # made 275 on each of these cells, 274 of them finding no tail. At 1 s
+    # the run ends before the walk has appended a whole rotation
+    cfg = config(n_stations=350, protocol=ProtocolKind.CF_MAC,
+                 duration_s=duration_s, warmup_s=0.1, seed=1)
+    with monkeypatch.context() as m:
+        spy_on_stepper(m, step=False)
+        oracle, report = run_experiment(cfg)
+    with monkeypatch.context() as m:
+        tails = spy_on_tail(m)
+        fast, fast_report = run_experiment(cfg)
+    assert len(tails) == (duration_s > 1)
+    assert all(len(tail[0]) == len(fast.start) for tail in tails)
+    assert_same_trace(fast, oracle)
+    assert repr(fast_report) == repr(report)
 
 
 @pytest.mark.parametrize("fire", [False, True])
 def test_trace_columns_are_owned_contiguous_and_final(monkeypatch, fire):
-    # with and without the closed-form tail appended to the loop's rows; a
-    # column may wrap the buffer the loop appended to, but holds no memory
-    # beyond its own rows
-    fired = spy_on_tail(monkeypatch, fire)
+    # with the closed-form tail appended to the loop's rows, and with the
+    # walk patched out; a column may wrap the buffer the loop appended to,
+    # but holds no memory beyond its own rows
+    if not fire:
+        spy_on_stepper(monkeypatch, step=False)
+    tails = spy_on_tail(monkeypatch)
     trace, _ = run_experiment(config(protocol=ProtocolKind.CF_MAC,
                                      duration_s=1.0, warmup_s=0.1, seed=1))
-    assert any(fired) is fire and len(trace.start)
+    assert len(tails) == fire and len(trace.start)
     for name, dtype in (("station", np.int32), ("start", np.int64),
                         ("outcome", np.int8), ("mode", np.int8)):
         column = getattr(trace, name)
@@ -420,20 +458,20 @@ def test_run_peaks_near_the_trace_it_keeps(monkeypatch):
 
 @pytest.mark.parametrize("rate,n", [(6, 1), (24, 2), (48, 12)])
 def test_periodic_tail_never_fires_under_cca_noise(monkeypatch, rate, n):
-    fired = spy_on_tail(monkeypatch)
+    tails = spy_on_tail(monkeypatch)
     trace, _ = run_experiment(config(n_stations=n, protocol=ProtocolKind.CF_MAC,
                                      rate=rate, cca_error_prob=0.05,
                                      duration_s=1.0, warmup_s=0.1, seed=1))
     assert len(trace.start)
-    assert not any(fired)
+    assert not tails
 
 
-# -- noisy round robin stepper -------------------------------------------------
+# -- round robin walk ----------------------------------------------------------
 
 def spy_on_stepper(monkeypatch, step=True):
-    """Record the rows each call of the engine's round robin stepper
-    appended; with step=False it returns at once and the general loop
-    runs every busy period."""
+    """Record the rows each call of the engine's round robin walk appended;
+    with step=False it returns at once and the general loop runs every busy
+    period."""
     rows = []
     real = engine._step_round_robin
 
@@ -451,9 +489,9 @@ def spy_on_stepper(monkeypatch, step=True):
 @pytest.mark.parametrize("n", [1, 2, 12, 50])
 @pytest.mark.parametrize("rate", [6, 11, 24, 48])
 def test_round_robin_stepper_matches_the_loop(monkeypatch, rate, n):
-    # at the gate and with it forced open, the stepper's rows are the
-    # general loop's and it leaves the loop the same state and stream
-    for p_err, seed in itertools.product((0.001, 0.01, 0.05, 0.2, 0.5),
+    # without noise, at the gate and with it forced open, the walk's rows
+    # are the general loop's and it leaves the loop the same state and stream
+    for p_err, seed in itertools.product((0.0, 0.001, 0.01, 0.05, 0.2, 0.5),
                                          (1, 2, 3)):
         cfg = config(n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
                      cca_error_prob=p_err, duration_s=0.3, warmup_s=0.05,
@@ -518,6 +556,33 @@ def test_stepper_stops_at_a_flip_and_at_a_close_deadline():
         assert rng.random() == ref.random()
 
 
+def test_noiseless_walk_draws_nothing_and_ends_in_the_tail():
+    # two stations 1000 us apart, 400 us exchanges, a 2000 us cycle: a
+    # second deadline within one exchange of the first stops the walk before
+    # its first row, the end of the run stops it after one row, and
+    # otherwise two rows in a row end the run in closed form; no way draws
+    for second, duration_us in ((300, 10 ** 4), (1100, 1000), (1100, 10 ** 4)):
+        states = [StationState(ProtocolKind.CF_MAC, phase=DEADLINE,
+                               deadline=d) for d in (100, second)]
+        due = [(st.deadline, DEADLINE, i) for i, st in enumerate(states)]
+        timed = sorted(due)
+        rng, ref = RandomSource(5), random.Random(5)
+        columns = empty_columns()
+        walked = engine._step_round_robin(0, timed, due, states, rng, columns,
+                                          0.0, duration_us, 400, 2000)
+        if second == 300:
+            assert walked == 0 and not len(columns[0])
+            assert timed[0] is due[0] and len(timed) == 2
+        elif duration_us == 1000:
+            assert walked == 500 and list(columns[1]) == [100]
+        else:
+            assert list(columns[1]) == [100, 1100]
+            assert walked[1].tolist() == list(range(100, duration_us, 1000))
+            assert walked[0].tolist() == [k % 2 for k in range(10)]
+        # nothing drawn and nothing handed back
+        assert rng.chance(0.5) is (ref.random() < 0.5)
+
+
 def knock_off_deadline(monkeypatch):
     """Make each success that leaves every station waiting for a deadline
     move another station to HOLD behind the loop's back, its deadline entry
@@ -541,8 +606,8 @@ def knock_off_deadline(monkeypatch):
 @pytest.mark.parametrize("p_err", [0.0, 0.01])
 def test_round_robin_entry_refuses_a_station_off_its_deadline(monkeypatch,
                                                               p_err):
-    # both the closed-form tail and the stepper start from one check that
-    # every station waits for its deadline
+    # the walk starts, with and without noise, from one check that every
+    # station waits for its deadline
     knock_off_deadline(monkeypatch)
     cfg = config(n_stations=12, protocol=ProtocolKind.CF_MAC,
                  cca_error_prob=p_err, duration_s=0.5)
@@ -647,7 +712,7 @@ else:
 
 # a noiseless round robin with a station moved to HOLD behind the loop's
 # back, its deadline entry still live: the round robin entry refuses it
-# before it tries the closed-form tail
+# before it walks
 engine._step_round_robin = step
 states, initial = [], engine.initial_station
 

@@ -278,6 +278,29 @@ def test_read_csv_names_the_first_row_that_differs(tmp_path, monkeypatch,
         TraceLog.read_csv(path, config_of(1))
 
 
+@pytest.mark.parametrize("rows,row", [
+    pytest.param(b"0,10,282,succ,legacy\r\n", 0, id="label_prefix"),
+    pytest.param(b"0,ten,282,success,legacy\r\n", 0, id="ten"),
+    pytest.param(b"0,10,282,success,legacy\r\n0,20,292,success,legacy\n", 1,
+                 id="bare_lf"),
+    pytest.param(b"0,10,282,success,legacy\r\n0,20,292,success,legacy", 1,
+                 id="no_final_crlf"),
+    pytest.param(b"0,10,282,success,legacy\r\n\r\n", 1, id="empty_line"),
+    pytest.param(b"0,10,282,success,legacy\r\n0,20,292,success,burst\r\n", 1,
+                 id="bad_label"),
+    pytest.param(b"0,10,282,success,legacy\r\n1,20,292,success,legacy\r\n"
+                 b"2,30,302,success,legacy\r\n", 2, id="station_out_of_range"),
+    pytest.param(b"0,10,282,success,legacy\r\n0,20,293,success,legacy\r\n"
+                 b"0,1,0,lost\r\n", 1, id="differs_before_a_bad_row")])
+def test_read_csv_names_the_file_and_the_row_at_fault(tmp_path, rows, row):
+    # numpy's parse and reshape errors named neither
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"station,start_us,end_us,outcome,mode\r\n" + rows)
+    with pytest.raises(ValueError) as refused:
+        TraceLog.read_csv(path, config_of(2))
+    assert str(refused.value).startswith(f"{path}: trace row {row} ")
+
+
 def test_records_view_matches_the_columns():
     # the per-row view other tools iterate: the same rows, as objects
     records = trace_of(LABELS, 1).records
