@@ -15,6 +15,9 @@ The summed form of tau is algebraically identical to the usual
 """
 from __future__ import annotations
 
+import numbers
+import sys
+
 from .protocols import CW_MIN, MAX_BACKOFF_STAGE
 
 RESIDUAL_TARGET = 1e-10
@@ -37,8 +40,11 @@ def solve_fixed_point(n: int) -> tuple[float, float]:
     The residual p - (1 - (1 - tau(p))^(n-1)) is strictly increasing in p,
     negative at 0 for n > 1 and positive near 1, so the root is unique.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    # 1 - tau is raised to the power n - 1, which must fit a float
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) \
+            or not 1 <= n <= sys.float_info.max:
+        raise ValueError(f"counts must lie in [1, {sys.float_info.max!r}] "
+                         f"and be integers, got {n!r}")
     if n == 1:
         return transmission_probability(0.0), 0.0
     lo, hi = 0.0, 1.0 - 1e-15

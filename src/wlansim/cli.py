@@ -147,13 +147,11 @@ def _parse_schedule(section: dict) -> ScheduleTable:
         if len(parts) != 2:
             raise ConfigError(f"schedule.{key}: expected 'share, epsilon', "
                               f"got {value!r}")
-        row = ScheduleRow(share_us=_parse_float(f"schedule.{key}", parts[0]),
-                          epsilon_us=_parse_float(f"schedule.{key}", parts[1]))
+        share, epsilon = (_parse_float(f"schedule.{key}", v) for v in parts)
         try:
-            row.total_us
-        except (ValueError, OverflowError) as exc:
+            rows[rate] = ScheduleRow(share_us=share, epsilon_us=epsilon)
+        except ValueError as exc:
             raise ConfigError(f"schedule.{key}: {exc}") from None
-        rows[rate] = row
     return ScheduleTable(rows=rows)
 
 
@@ -454,13 +452,12 @@ def _cmd_model(args) -> int:
     counts = _parse_ints("stations", args.stations)
     if not counts:
         raise ConfigError("stations: empty sweep axis")
-    # the model raises a float to the power n - 1
-    if any(not 1 <= n <= sys.float_info.max for n in counts):
-        raise ConfigError(f"stations: counts must lie in [1, "
-                          f"{sys.float_info.max!r}], got {args.stations!r}")
+    try:  # every count, before the header
+        solved = [(n, *solve_fixed_point(n)) for n in counts]
+    except ValueError as exc:
+        raise ConfigError(f"stations: {exc}") from None
     print("n,tau,p")
-    for n in counts:
-        tau, p = solve_fixed_point(n)
+    for n, tau, p in solved:
         print(f"{n},{tau!r},{p!r}")
     return 0
 

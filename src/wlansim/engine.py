@@ -113,7 +113,7 @@ from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, ack_airtime,
 from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProtocolKind,
                         RandomSource, count_down, fail, initial_station,
                         probe_busy, succeed)
-from .schedule import DEFAULT_TABLE, ScheduleTable, cycle_timer
+from .schedule import DEFAULT_TABLE, ScheduleTable
 from .trace import _DTYPES, MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
 
@@ -165,15 +165,21 @@ class SimConfig:
         profile = phy_profile(self.rate)
         return self.data_us + profile.sifs + ack_airtime(profile)
 
+    @property
+    def cycle_us(self) -> int:
+        """The deterministic cycle timer: one rotation of all stations."""
+        return self.n_stations * self.schedule.rows[self.rate].total_us
+
     def __post_init__(self) -> None:
         # 12.0 stations would fail inside the engine, a 100.5-byte payload
-        # or a rate of 48.0 would run on
+        # or a rate of 48.0 would run on; a numpy integer is stored as an
+        # int, as random.Random takes no numpy seed
         for name in ("n_stations", "rate", "payload_bytes", "seed"):
             value = getattr(self, name)
             try:
                 if isinstance(value, bool):  # an int, but not a count
                     raise TypeError
-                operator.index(value)
+                object.__setattr__(self, name, operator.index(value))
             except TypeError:
                 raise ConfigError(f"{name} must be an integer, got "
                                   f"{value!r}") from None
@@ -193,8 +199,6 @@ class SimConfig:
         if not (self.duration_s > 0
                 and math.isfinite(self.duration_s * 1_000_000)):
             raise ConfigError("duration must be positive and finite")
-        if not math.isfinite(self.warmup_s):
-            raise ConfigError("warmup must be finite")
         if not 0 <= self.warmup_s < self.duration_s:
             raise ConfigError("warmup must be non-negative and shorter than "
                               "the run")
@@ -206,31 +210,19 @@ class SimConfig:
         if not 0 < self.payload_bytes <= MAX_MSDU_BYTES:
             raise ConfigError(f"payload_bytes must lie in [1, "
                               f"{MAX_MSDU_BYTES}]")
-        profile = phy_profile(self.rate)
-        # a table built in code reaches here unchecked (the CLI checks the
-        # rows it parses); NaN, an infinity or a fraction fails total_us
-        row = self.schedule.rows.get(self.rate)
-        if row is None or not all(
-                isinstance(v, numbers.Real) and not isinstance(v, bool)
-                for v in (row.share_us, row.epsilon_us)):
-            raise ConfigError(f"schedule for rate {self.rate} needs a row of "
-                              f"two real numbers, got {row!r}")
-        try:
-            total = row.total_us
-        except (ValueError, OverflowError) as exc:
-            raise ConfigError(f"schedule row for rate {self.rate}: "
-                              f"{exc}") from None
+        floor = self.exchange_us + phy_profile(self.rate).difs
+        if self.rate not in self.schedule.rows:
+            raise ConfigError(f"schedule has no row for rate {self.rate}")
         # a shorter cycle could re-schedule a deadline inside the busy
         # period that produced it, which the loop does not support
-        floor = self.exchange_us + profile.difs
-        if total < floor:
+        if self.schedule.rows[self.rate].total_us < floor:
             raise ConfigError(f"schedule total for rate {self.rate} is too "
                               f"short to cover one frame exchange ({floor} us)")
         # a deadline is a start (below duration_us) plus one cycle, which
         # _periodic_tail computes in int64, so duration_us - 1 + cycle must
         # stay below 2**63; the bound keeps a second cycle of headroom, as
         # loosening it would accept new configs for no run that needs them
-        if self.duration_us + 2 * self.n_stations * total > 2 ** 63:
+        if self.duration_us + 2 * self.cycle_us > 2 ** 63:
             raise ConfigError(f"schedule total for rate {self.rate} overflows "
                               f"int64 deadlines at n = {self.n_stations} in a "
                               f"{self.duration_us} us run")
@@ -371,7 +363,6 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     """Simulate one saturated run and compute its metrics."""
     profile = phy_profile(config.rate)
-    cycle_us = cycle_timer(config.n_stations, config.rate, config.schedule)
     rng = RandomSource(config.seed)
     states = [initial_station(config.protocol, rng)
               for _ in range(config.n_stations)]
@@ -380,7 +371,7 @@ def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:
     # the loop appends to one array per trace column and returns the columns
     trace = TraceLog(config, *contend(
         config, profile.slot, profile.difs, config.data_us, config.exchange_us,
-        cycle_us, states, rng,
+        config.cycle_us, states, rng,
         [array(np.dtype(dt).char) for dt in _DTYPES.values()]))
     return trace, compute_report(trace)
 

@@ -2,12 +2,13 @@
 
 Each station owns a per-rate share of the cycle (one data frame, its ACK and
 interframe spaces) padded by a guard that absorbs timing slop; the deterministic
-cycle timer is N times that share. Shares were calibrated on hardware and are
-kept as a table rather than derived from airtimes, so the guard can be tuned
-per rate; custom tables may be supplied through the experiment config.
+cycle timer `SimConfig.cycle_us` is N times that share. Shares were calibrated
+on hardware and kept as a table rather than derived from airtimes, so the guard
+can be tuned per rate; custom tables may be supplied through the config.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 
@@ -16,23 +17,27 @@ class ScheduleRow:
     share_us: float    # per-station slice of the cycle [us]
     epsilon_us: float  # guard padding inside the slice [us]
 
+    def __post_init__(self) -> None:
+        # a bool is an int, but not a duration; NaN, an infinity, a fraction
+        # and a float too large to add to an int have no whole microsecond
+        try:
+            whole = all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for v in (self.share_us, self.epsilon_us)) \
+                and self.total_us == self.share_us + self.epsilon_us
+        except (ValueError, OverflowError):
+            whole = False
+        if not whole:
+            raise ValueError(f"per-station share + guard must be two real "
+                             f"numbers summing to whole microseconds: {self!r}")
+
     @property
     def total_us(self) -> int:
-        total = self.share_us + self.epsilon_us
-        if total != int(total):
-            raise ValueError("per-station share + guard must be whole microseconds")
-        return int(total)
+        return int(self.share_us + self.epsilon_us)
 
 
 @dataclass(frozen=True)
 class ScheduleTable:
     rows: dict[int, ScheduleRow]
-
-    def row(self, rate: int) -> ScheduleRow:
-        try:
-            return self.rows[rate]
-        except KeyError:
-            raise ValueError(f"no schedule row for rate {rate} Mb/s") from None
 
 
 DEFAULT_TABLE = ScheduleTable(rows={
@@ -42,10 +47,3 @@ DEFAULT_TABLE = ScheduleTable(rows={
     24: ScheduleRow(share_us=681.5, epsilon_us=106.5),
     48: ScheduleRow(share_us=421.5, epsilon_us=103.5),
 })
-
-
-def cycle_timer(n: int, rate: int, table: ScheduleTable = DEFAULT_TABLE) -> int:
-    """Deterministic inter-transmission period for n contenders, in microseconds."""
-    if n < 1:
-        raise ValueError("cycle timer needs at least one contender")
-    return n * table.row(rate).total_us

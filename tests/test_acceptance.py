@@ -30,7 +30,7 @@ from wlansim.protocols import (
     probe_busy,
     succeed,
 )
-from wlansim.schedule import cycle_timer
+from wlansim.schedule import DEFAULT_TABLE
 
 N = 12
 RATES = (6, 11, 12, 24, 48)
@@ -86,7 +86,7 @@ def test_criterion_1_steady_throughput_and_runtime():
     for rate in (6, 48):
         # every rotation carries one 1470 B payload per station, so the
         # aggregate is 11760 bits per per-station slice
-        target = 11760 / cycle_timer(1, rate)
+        target = 11760 / DEFAULT_TABLE.rows[rate].total_us
         t0 = time.perf_counter()
         _, report = run_experiment(SimConfig(
             n_stations=N, protocol=ProtocolKind.CF_MAC, rate=rate,
@@ -157,7 +157,7 @@ def test_criterion_4_loss_matches_model(matrix, legacy_loss):
 def test_criterion_5_interarrival_regularity(matrix):
     ragged = []
     for r in RATES:
-        cycle = float(cycle_timer(N, r))
+        cycle = float(N * DEFAULT_TABLE.rows[r].total_us)
         for s in SEEDS:
             rep = matrix[(CF, r, s)].report
             assert rep.convergence_us is not None
@@ -206,7 +206,8 @@ STOCK_WINS = {6, 11, 12, 24}
 def test_criterion_6_throughput_ordering(matrix):
     bits = 8 * PAYLOAD_BYTES
     model = {r: bits / _legacy_us_per_frame(r) for r in RATES}
-    predicted = {r: bits / cycle_timer(1, r) - model[r] for r in RATES}
+    predicted = {r: bits / DEFAULT_TABLE.rows[r].total_us - model[r]
+                 for r in RATES}
     margins = {r: [matrix[(CF, r, s)].report.aggregate_throughput
                    - matrix[(CA, r, s)].report.aggregate_throughput
                    for s in SEEDS]
@@ -319,7 +320,7 @@ def _fuzz_step(state, rng, cycle_us):
 def test_criterion_9_state_machine_fuzz():
     sequences = 100_000
     transitions = 0
-    cycle_us = cycle_timer(N, 48)
+    cycle_us = N * DEFAULT_TABLE.rows[48].total_us
     for offset, kind in enumerate(ProtocolKind):
         rng = RandomSource(1000 + offset)
         for _ in range(sequences):

@@ -182,9 +182,15 @@ def test_malformed_json_rejected(tmp_path, capsys, text):
      "schedule: 48 and 048 set the same rate, give one"),
     ("c.ini", "[schedule]\n99 = 400, 50\n",
      "schedule.99: rate not in (6, 11, 12, 24, 48)"),
+    # the row's own refusal, under the key that gave it
+    ("c.ini", "[schedule]\n48 = nan, 0\n",
+     "schedule.48: per-station share + guard must be"),
+    ("c.ini", "[schedule]\n48 = inf, 0\n",
+     "schedule.48: per-station share + guard must be"),
     ("c.json", "[1, 2]", "config: top level must be an object"),
 ], ids=["format", "protocol", "rates", "payload", "schedule_row",
-        "schedule_same_rate", "schedule_unsupported_rate", "json_list"])
+        "schedule_same_rate", "schedule_unsupported_rate",
+        "schedule_row_nan", "schedule_row_inf", "json_list"])
 def test_plan_refusals(tmp_path, name, text, prefix):
     with pytest.raises(ConfigError) as refused:
         parse_config(write(tmp_path / name, text))

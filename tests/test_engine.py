@@ -20,7 +20,7 @@ from wlansim.metrics import compute_report, steady_state_start
 from wlansim.phy import UnsupportedRateError, phy_profile
 from wlansim.protocols import (DEADLINE, HOLD, Mode, ProtocolKind,
                                RandomSource, StationState)
-from wlansim.schedule import ScheduleRow, ScheduleTable, cycle_timer
+from wlansim.schedule import DEFAULT_TABLE, ScheduleRow, ScheduleTable
 from wlansim.trace import (_DTYPES, MODE_CODE, MODES, OUTCOME_CODE, OUTCOMES,
                            Outcome, TraceLog)
 
@@ -146,7 +146,7 @@ def test_deterministic_cadence_is_exact():
                                           rate=24, duration_s=0.5,
                                           warmup_s=0.05, seed=5))
     assert report.convergence_us is not None
-    cycle = cycle_timer(3, 24)
+    cycle = 3 * DEFAULT_TABLE.rows[24].total_us
     assert cycle == 3 * 788
     for i in range(3):
         starts = trace.start[(trace.station == i)
@@ -249,7 +249,11 @@ def test_config_refuses_fields_that_are_not_integers(field, value):
     # 12.0 stations failed inside the engine; the others ran on
     with pytest.raises(ConfigError, match=f"{field} must be an integer"):
         config(**{field: value})
-    config(**{field: np.int64(getattr(config(), field))})  # operator.index
+    # operator.index takes a numpy integer, stored as an int: a numpy seed
+    # was accepted here and then failed random.Random in the run
+    cfg = config(**{field: np.int64(getattr(config(), field))})
+    assert type(getattr(cfg, field)) is int
+    assert_same_trace(run_experiment(cfg)[0], run_experiment(config())[0])
 
 
 @pytest.mark.parametrize("value", [True, "1", None])
@@ -274,14 +278,11 @@ def test_schedule_floor_enforced():
 
 
 @pytest.mark.parametrize("schedule", [
-    ScheduleTable(rows={}), ScheduleTable(rows={48: ScheduleRow("400", "25")}),
-    ScheduleTable(rows={48: ScheduleRow(400, None)}),
-    ScheduleTable(rows={48: ScheduleRow(float("nan"), 25)}),
-    ScheduleTable(rows={48: ScheduleRow(float("inf"), 25)})],
-    ids=["no_row", "text", "none", "nan", "inf"])
+    ScheduleTable(rows={}), ScheduleTable(rows={24: DEFAULT_TABLE.rows[24]})],
+    ids=["no_row", "other_rate"])
 def test_config_refuses_a_bad_schedule_row(schedule):
-    # these raised ValueError, a misleading ValueError ("must be whole
-    # microseconds"), TypeError, ValueError and OverflowError
+    # a row checks itself when it is built (tests/test_schedule.py), so the
+    # one bad row a config can meet is a missing one
     with pytest.raises(ConfigError, match=r"rate 48\b"):
         config(protocol=ProtocolKind.CF_MAC, schedule=schedule)
 
@@ -398,7 +399,7 @@ def test_periodic_tail_matches_the_loop(monkeypatch, rate, n):
         assert len(tails) <= 1
         settled_at = steady_state_start(oracle)
         if settled_at is not None \
-                and settled_at <= cfg.duration_us - 2 * cycle_timer(n, rate):
+                and settled_at <= cfg.duration_us - 2 * cfg.cycle_us:
             assert tails, f"rate {rate} n {n} seed {seed}"
 
 

@@ -69,5 +69,9 @@ def test_solution_bounds(n):
 
 
 def test_params_validation():
-    with pytest.raises(ValueError):
-        solve_fixed_point(0)
+    # 2.5, True and inf each gave numbers, 10**400 a bare OverflowError
+    for n in (0, 2.5, True, math.inf, "3", 10 ** 400):
+        with pytest.raises(ValueError, match=r"counts must lie in \[1, "):
+            solve_fixed_point(n)
+    tau, p = solve_fixed_point(10 ** 308)  # the largest a float holds
+    assert 0.0 < tau and 0.0 < p < 1.0

@@ -13,9 +13,9 @@ from wlansim.protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, CW_MIN,
                                ECA_BACKOFF, MAX_RETRIES, ProtocolKind,
                                RandomSource, count_down, fail, initial_station,
                                probe_busy, succeed)
-from wlansim.schedule import cycle_timer
+from wlansim.schedule import DEFAULT_TABLE
 
-CYCLE = cycle_timer(12, 6)
+CYCLE = 12 * DEFAULT_TABLE.rows[6].total_us
 TOP = MAX_RETRIES - 1  # the top backoff stage: one more failure drops
 
 
@@ -146,7 +146,7 @@ def test_on_success_cfmac():
     st_ = fresh(ProtocolKind.CF_MAC)
     succeed(st_, 10_000, CYCLE, RandomSource(3))
     assert st_.phase == DEADLINE
-    assert st_.deadline == 10_000 + cycle_timer(12, 6) == 37_900
+    assert st_.deadline == 10_000 + CYCLE == 37_900
     assert st_.consec_failures == 0 and st_.busy_probes == 0
 
 
@@ -154,7 +154,7 @@ def test_success_clears_deterministic_counters():
     st_ = deterministic(consec_failures=1, busy_probes=1)
     succeed(st_, 50_000, CYCLE, RandomSource(9))
     assert st_.consec_failures == 0 and st_.busy_probes == 0
-    assert st_.deadline == 50_000 + cycle_timer(12, 6)
+    assert st_.deadline == 50_000 + CYCLE
 
 
 def test_on_failure_legacy_backoff_growth():
@@ -183,7 +183,7 @@ def test_on_failure_deterministic_stickiness():
     fail(st_, 40_000, CYCLE, RandomSource(2))
     assert st_.phase == DEADLINE
     assert st_.consec_failures == 1
-    assert st_.deadline == 40_000 + cycle_timer(12, 6)
+    assert st_.deadline == 40_000 + CYCLE
 
 
 def test_on_failure_second_collision_reverts():

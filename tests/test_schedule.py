@@ -1,11 +1,17 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
-from wlansim.engine import SimConfig
+from wlansim.engine import ConfigError, SimConfig
 from wlansim.protocols import ProtocolKind
-from wlansim.phy import SUPPORTED_RATES, phy_profile
-from wlansim.schedule import (DEFAULT_TABLE, ScheduleRow, ScheduleTable,
-                              cycle_timer)
+from wlansim.phy import SUPPORTED_RATES, UnsupportedRateError, phy_profile
+from wlansim.schedule import DEFAULT_TABLE, ScheduleRow, ScheduleTable
+
+
+def cycle(n, rate, table=DEFAULT_TABLE):
+    return SimConfig(n_stations=n, protocol=ProtocolKind.CF_MAC, rate=rate,
+                     schedule=table).cycle_us
 
 
 def test_default_rows():
@@ -17,36 +23,61 @@ def test_default_rows():
         48: (421.5, 103.5, 525),
     }
     for rate, (share, eps, total) in expected.items():
-        row = DEFAULT_TABLE.row(rate)
+        row = DEFAULT_TABLE.rows[rate]
         assert row.share_us == share
         assert row.epsilon_us == eps
         assert row.total_us == total
 
 
 def test_cycle_timer_values():
-    assert cycle_timer(12, 6) == 27900
-    assert cycle_timer(12, 48) == 6300
-    assert cycle_timer(1, 48) == 525
-    assert cycle_timer(53, 48) == 27825
+    assert cycle(12, 6) == 27900
+    assert cycle(12, 48) == 6300
+    assert cycle(1, 48) == 525
+    assert cycle(53, 48) == 27825
 
 
 def test_cycle_timer_errors():
-    with pytest.raises(ValueError):
-        cycle_timer(0, 6)
-    with pytest.raises(ValueError):
-        cycle_timer(4, 54)
+    with pytest.raises(ConfigError):
+        cycle(0, 6)
+    with pytest.raises(UnsupportedRateError):
+        cycle(4, 54)
 
 
 def test_fractional_total_rejected():
-    row = ScheduleRow(share_us=100.3, epsilon_us=0.4)
-    with pytest.raises(ValueError):
-        _ = row.total_us
+    with pytest.raises(ValueError, match="whole microseconds"):
+        ScheduleRow(share_us=100.3, epsilon_us=0.4)
+
+
+@pytest.mark.parametrize("row", [
+    ("400", "25"), (400, None), (True, 399), (float("nan"), 25),
+    (float("inf"), 25), (10 ** 400, 0.5)],
+    ids=["text", "none", "bool", "nan", "inf", "int_beyond_a_float"])
+def test_schedule_row_refuses_itself(row):
+    # a row built in code used to pass until its total_us was read, and then
+    # raised a misleading "must be whole microseconds", a bare TypeError,
+    # nothing (a bool), ValueError, OverflowError and OverflowError
+    with pytest.raises(ValueError, match="whole microseconds"):
+        ScheduleRow(*row)
+
+
+_NUMBERS = st.integers(-10 ** 20, 10 ** 20) | st.floats(allow_nan=False,
+                                                        allow_infinity=False)
+
+
+@given(_NUMBERS, _NUMBERS)
+def test_a_row_is_built_exactly_when_its_sum_is_whole(share, guard):
+    total = share + guard
+    if math.isfinite(total) and total == int(total):
+        assert ScheduleRow(share, guard).total_us == total
+    else:
+        with pytest.raises(ValueError):
+            ScheduleRow(share, guard)
 
 
 @given(st.integers(min_value=1, max_value=500),
        st.sampled_from(SUPPORTED_RATES))
 def test_cycle_is_linear_in_contenders(n, rate):
-    assert cycle_timer(n, rate) == n * DEFAULT_TABLE.row(rate).total_us
+    assert cycle(n, rate) == n * DEFAULT_TABLE.rows[rate].total_us
 
 
 def test_slot_covers_exchange():
@@ -57,11 +88,11 @@ def test_slot_covers_exchange():
         cfg = SimConfig(n_stations=1, protocol=ProtocolKind.CF_MAC, rate=rate)
         assert cfg.exchange_us == exchange[rate]
         floor = cfg.exchange_us + phy_profile(rate).difs
-        assert DEFAULT_TABLE.row(rate).total_us >= floor
+        assert DEFAULT_TABLE.rows[rate].total_us >= floor
 
 
 def test_custom_table():
     table = ScheduleTable(rows={48: ScheduleRow(share_us=400.0, epsilon_us=50.0)})
-    assert cycle_timer(2, 48, table) == 900
-    with pytest.raises(ValueError):
-        table.row(6)
+    assert cycle(2, 48, table) == 900
+    with pytest.raises(ConfigError, match=r"rate 6\b"):
+        cycle(2, 6, table)
