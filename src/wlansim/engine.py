@@ -27,7 +27,13 @@ hold that arms a reduced backoff (anchor: the end of the hold). The next
 busy period banks such stations one by one and they rejoin the grid. Both
 heaps drop superseded entries lazily, so one event costs O(log n). Only
 CF-MAC leaves the shared grid, so CSMA/CA and CSMA/ECA runs, which never
-probe, hold, flip or join, take `_contend_on_grid`: the grid alone.
+probe, hold, flip or join, take `_contend_on_grid`: the grid alone. It
+applies the legacy rules of `succeed` and `fail` itself, from the
+constants of `protocols`, one `RandomSource.words` word per draw, and
+appends only each row's station and start. Frames that start together
+collide and no two busy periods share a start, so after the loop a row is
+a Collision exactly when a neighbouring row has its start, and every row
+is legacy.
 
 The loop repeatedly takes the earliest such instant, lets every station due
 at it start transmitting (ties across the grid, the deadlines and the
@@ -110,9 +116,9 @@ import numpy as np
 from .metrics import MetricsReport, compute_report
 from .phy import (MAC_OVERHEAD_BYTES, MAX_MSDU_BYTES, ack_airtime,
                   data_airtime, phy_profile)
-from .protocols import (BACKOFF, DEADLINE, HOLD, REDUCED, Mode, ProtocolKind,
-                        RandomSource, count_down, fail, initial_station,
-                        probe_busy, succeed)
+from .protocols import (BACKOFF, DEADLINE, DRAW_SHIFT, ECA_BACKOFF, HOLD,
+                        NEXT_STAGE, REDUCED, Mode, ProtocolKind, RandomSource,
+                        count_down, fail, initial_station, probe_busy, succeed)
 from .schedule import DEFAULT_TABLE, ScheduleTable
 from .trace import _DTYPES, MODE_CODE, OUTCOME_CODE, Outcome, TraceLog
 
@@ -324,28 +330,29 @@ def _step_round_robin(release: int, timed: list, due: list, states: list,
 
 def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
                      exchange_us: int, cycle_us: int, states: list,
-                     rng: RandomSource, columns: list[array]) -> list[array]:
+                     rng: RandomSource, columns: list[array]) -> list:
     """`_contend` for runs that never leave the shared grid: the stations
-    under the top key transmit (in station order) and are filed anew."""
+    under the top key transmit (in station order) and are filed anew by the
+    legacy rules, applied here (module docstring); returns the columns."""
     # a sorted list is a heap; sentinels keep both children of the top
     grid = sorted((s.b, i) for i, s in enumerate(states)) + [(math.inf, 0)] * 2
-    put_station, put_start, put_outcome = (c.append for c in columns[:3])
+    put_station, put_start = (c.append for c in columns[:2])
     duration_us, release, banked = config.duration_us, 0, 0
+    take, eca = rng.words(), config.protocol is ProtocolKind.CSMA_ECA
     while True:
         key, i = grid[0]
         if key < banked:
             raise RuntimeError(f"station {i} fired before DIFS")
         t0 = release + difs + (key - banked) * slot
-        if t0 >= duration_us:  # every row is legacy: fill the mode at once
-            columns[3].frombytes(bytes([_LEGACY]) * len(columns[0]))
-            return columns
+        if t0 >= duration_us:
+            break
         banked = key
         if grid[1][0] != key != grid[2][0]:  # no other entry shares the key
             put_station(i)
             put_start(t0)
-            put_outcome(_SUCCESS)
-            succeed(states[i], t0, cycle_us, rng)
-            heapq.heapreplace(grid, (key + states[i].b, i))
+            states[i].k = 0
+            states[i].b = b = ECA_BACKOFF if eca else take() >> DRAW_SHIFT
+            heapq.heapreplace(grid, (key + b, i))
             release = t0 + exchange_us
             continue
         winners = [heapq.heappop(grid)[1]]
@@ -354,10 +361,18 @@ def _contend_on_grid(config: SimConfig, slot: int, difs: int, data_us: int,
         for i in winners:
             put_station(i)
             put_start(t0)
-            put_outcome(_COLLISION)
-            fail(states[i], t0, cycle_us, rng)
-            heapq.heappush(grid, (key + states[i].b, i))
+            st = states[i]
+            st.k = k = NEXT_STAGE[st.k]
+            st.b = b = take() >> (DRAW_SHIFT - k)
+            heapq.heappush(grid, (key + b, i))
         release = t0 + data_us + difs
+    # a row collided exactly when a neighbour has its start (module docstring)
+    start = np.frombuffer(columns[1], _DTYPES["start"])
+    hit = np.zeros(len(start) + 1, bool)
+    np.equal(start[1:], start[:-1], out=hit[1:-1])
+    outcome = np.where(hit[1:] | hit[:-1], np.int8(_COLLISION),
+                       np.int8(_SUCCESS))
+    return [*columns[:2], outcome, np.full_like(outcome, _LEGACY)]
 
 
 def run_experiment(config: SimConfig) -> tuple[TraceLog, MetricsReport]:

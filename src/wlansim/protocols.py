@@ -17,14 +17,23 @@ happened. Times are integer microseconds throughout.
 """
 from __future__ import annotations
 
+import itertools
 import random
+from array import array
 from dataclasses import dataclass
 from enum import Enum
+from typing import Callable
+
+import numpy as np
 
 CW_MIN = 16              # minimum contention window size (draws span [0, CW_MIN - 1])
 MAX_BACKOFF_STAGE = 6    # Bianchi's m (`bianchi`); the rules never reach it
 MAX_RETRIES = 6          # failures per packet before it is discarded: k < this
 ECA_BACKOFF = CW_MIN // 2 - 1  # deterministic post-success counter: fires on the 8th slot
+NEXT_STAGE = (*range(1, MAX_RETRIES), 0)  # after a legacy failure at stage k
+# CW_MIN << k is a power of two: `randint` keeps a 32-bit stream word exactly
+# when its top bit is clear, and draws word >> (DRAW_SHIFT - k)
+DRAW_SHIFT = 32 - CW_MIN.bit_length()
 REDUCED_WINDOW = 7       # probe fallback draws from [0, REDUCED_WINDOW - 1]
 STICKINESS_LIMIT = 2     # consecutive deterministic collisions tolerated before reverting
 BUSY_LIMIT = 2           # busy probe findings tolerated before reverting
@@ -50,6 +59,8 @@ class Mode(Enum):
 # bound once: a module name is cheaper to read than an Enum class attribute
 _CSMA_CA = ProtocolKind.CSMA_CA
 _CSMA_ECA = ProtocolKind.CSMA_ECA
+_BLOCK = 1024  # stream words per block read ahead by `RandomSource.words`
+_WORD = np.dtype(np.uint32).char  # array typecode of a 32-bit word
 
 
 class RandomSource:
@@ -84,6 +95,23 @@ class RandomSource:
         if self._held is not None:
             raise RuntimeError("a handed-back draw is already held")
         self._held = u
+
+    def words(self) -> Callable[[], int]:
+        """The stream's 32-bit words below 2**31 (DRAW_SHIFT), one per call,
+        filtered in blocks read ahead: every other draw refuses from now on."""
+        self.next_uniform = self.random = self.chance = self.hand_back = \
+            self._read_ahead
+        return itertools.chain.from_iterable(
+            map(self._block, itertools.repeat(_BLOCK))).__next__
+
+    def _block(self, n: int) -> array:
+        words = np.frombuffer(self._rng.getrandbits(32 * n).to_bytes(
+            4 * n, "little"), "<u4")
+        return array(_WORD, words[words < 2 ** 31].astype(_WORD).tobytes())
+
+    def _read_ahead(self, *args) -> None:
+        raise RuntimeError("the stream was read ahead by words(): draw from "
+                           "it no other way")
 
 
 @dataclass(slots=True)
@@ -136,7 +164,7 @@ def fail(state: StationState, tx_start_us: int, cycle_us: int,
     and reverts to legacy contention on a second.
     """
     if state.phase == BACKOFF:
-        state.k = state.k + 1 if state.k + 1 < MAX_RETRIES else 0
+        state.k = NEXT_STAGE[state.k]
         state.b = rng.next_uniform(0, (CW_MIN << state.k) - 1)
     # Deterministic mode tolerates one collision before giving up the slot
     elif state.consec_failures + 1 >= STICKINESS_LIMIT:

@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numbers
 from dataclasses import dataclass
+from types import MappingProxyType
+from typing import Mapping
 
 
 @dataclass(frozen=True)
@@ -37,7 +39,15 @@ class ScheduleRow:
 
 @dataclass(frozen=True)
 class ScheduleTable:
-    rows: dict[int, ScheduleRow]
+    rows: Mapping[int, ScheduleRow]
+
+    def __post_init__(self) -> None:
+        # a read-only copy: a config checked against the table runs on the
+        # rows it was checked against
+        object.__setattr__(self, "rows", MappingProxyType(dict(self.rows)))
+
+    def __reduce__(self):  # a mappingproxy does not pickle; its dict does
+        return ScheduleTable, (dict(self.rows),)
 
 
 DEFAULT_TABLE = ScheduleTable(rows={

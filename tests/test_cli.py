@@ -25,7 +25,7 @@ from wlansim.cli import (
 )
 from wlansim.engine import ConfigError, SimConfig, run_experiment
 from wlansim.protocols import Mode, ProtocolKind
-from wlansim.schedule import DEFAULT_TABLE, ScheduleRow
+from wlansim.schedule import DEFAULT_TABLE, ScheduleRow, ScheduleTable
 from wlansim.trace import Outcome, TransmissionRecord
 
 
@@ -491,6 +491,23 @@ def test_a_plan_forks_one_worker_per_job_but_this_process(tmp_path,
     assert run_plan(four_cell_plan(tmp_path / "shared"), jobs=jobs) == 0
     assert len(forks) == min(jobs, 4) - 1
     assert outputs(tmp_path / "shared") == outputs(tmp_path / "serial")
+
+
+def test_a_custom_schedule_runs_the_same_on_workers(tmp_path):
+    # a plan's read-only table reaches every cell, forked or not
+    table = ScheduleTable(rows={**DEFAULT_TABLE.rows,
+                                24: ScheduleRow(share_us=900.0,
+                                                epsilon_us=100.0)})
+    for out, jobs in (("serial", 1), ("shared", 2)):
+        plan = ExperimentPlan(protocols=[ProtocolKind.CF_MAC,
+                                         ProtocolKind.CSMA_CA],
+                              rates=[24], stations=[2], seeds=[1, 2],
+                              duration_s=0.05, warmup_s=0.01,
+                              schedule=table, out_dir=tmp_path / out)
+        assert run_plan(plan, jobs=jobs) == 0
+    assert run_plan(four_cell_plan(tmp_path / "stock")) == 0
+    assert outputs(tmp_path / "shared") == outputs(tmp_path / "serial")
+    assert outputs(tmp_path / "shared") != outputs(tmp_path / "stock")
 
 
 @pytest.mark.parametrize("platform", ["darwin", "win32"])

@@ -648,12 +648,15 @@ def test_grid_loop_matches_the_general_loop(monkeypatch, protocol, rate, n):
 # the rules made to break an invariant in a fresh `python -O` process, one
 # line of output per run: the loop it took and how it ended
 INVARIANT_SCRIPT = """
+import itertools
+
 from wlansim import engine
 from wlansim.engine import SimConfig, run_experiment
-from wlansim.protocols import DEADLINE, HOLD, ProtocolKind
+from wlansim.protocols import DEADLINE, HOLD, ProtocolKind, RandomSource
 
 assert not __debug__, "run with python -O"
 succeed, fail, grid_loop = engine.succeed, engine.fail, engine._contend_on_grid
+words = RandomSource.words
 
 
 def below_zero(rule, b):
@@ -675,8 +678,12 @@ for protocol, general, b in [("CsmaCa", False, -1), ("CsmaEca", False, -1),
     engine._contend_on_grid = engine._contend if general else grid_loop
     if b is None:
         engine.succeed, engine.fail = early_deadline, fail
-    else:
+    elif general:
         engine.succeed, engine.fail = below_zero(succeed, b), below_zero(fail, b)
+    else:
+        # the grid loop applies the legacy rules itself, each backoff a
+        # word of the source shifted right, and b >> s is b for b = -1
+        RandomSource.words = lambda self: itertools.repeat(b).__next__
     config = SimConfig(n_stations=12, protocol=ProtocolKind(protocol),
                        rate=48, duration_s=0.5, warmup_s=0.05)
     try:
@@ -689,7 +696,7 @@ for protocol, general, b in [("CsmaCa", False, -1), ("CsmaEca", False, -1),
 # a noisy round robin with the broken rule inside the stepper alone: only
 # the stepper's own check sees it (without it the walk appends rows at one
 # instant until a draw flips, and the loop then finds an event in the past)
-engine.succeed, engine.fail = succeed, fail
+engine.succeed, engine.fail, RandomSource.words = succeed, fail, words
 step = engine._step_round_robin
 
 

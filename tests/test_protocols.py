@@ -97,6 +97,48 @@ def test_second_hand_back_raises_under_python_O():
     assert run.stdout == "a handed-back draw is already held\n"
 
 
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2 ** 64), before=st.lists(WIDTHS, max_size=20),
+       script=st.lists(st.tuples(st.integers(0, 20), st.integers(300, 600)),
+                       min_size=6, max_size=10))
+def test_words_are_the_stdlib_stream_of_power_of_two_windows(seed, before,
+                                                             script):
+    # after any draws, a word shifted right by 31 - j is randint's draw from
+    # [0, 2**j - 1]; 1,800 draws or more take several of the read-ahead
+    # blocks
+    rng, ref = RandomSource(seed), random.Random(seed)
+    for w in before:
+        assert rng.next_uniform(0, w - 1) == ref.randint(0, w - 1)
+    take = rng.words()
+    for j, count in script:
+        assert [take() >> (31 - j) for _ in range(count)] == \
+               [ref.randint(0, 2 ** j - 1) for _ in range(count)]
+
+
+def test_other_draws_raise_after_words_under_python_O():
+    # words() reads the stream ahead, so every other draw refuses from then
+    # on; the refusals are explicit, so `python -O` keeps them
+    script = ("from wlansim.protocols import RandomSource\n"
+              "rng = RandomSource(1)\n"
+              "rng.next_uniform(0, 15)\n"
+              "take = rng.words()\n"
+              "for draw in (lambda: rng.next_uniform(0, 15), rng.random,\n"
+              "             lambda: rng.chance(0.5),\n"
+              "             lambda: rng.hand_back(0.5)):\n"
+              "    try:\n"
+              "        draw()\n"
+              "    except RuntimeError as exc:\n"
+              "        print(exc)\n"
+              "print(take() < 2 ** 31)\n")
+    src = str(Path(protocols.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-O", "-c", script],
+                         env={**os.environ, "PYTHONPATH": src},
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    refusal = "the stream was read ahead by words(): draw from it no other way"
+    assert run.stdout.splitlines() == [refusal] * 4 + ["True"]
+
+
 def test_empty_window_rejected():
     with pytest.raises(ValueError, match="empty range"):
         RandomSource(1).next_uniform(3, 2)

@@ -1,4 +1,5 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
@@ -96,3 +97,29 @@ def test_custom_table():
     assert cycle(2, 48, table) == 900
     with pytest.raises(ConfigError, match=r"rate 6\b"):
         cycle(2, 6, table)
+
+
+def test_rows_cannot_change_under_a_checked_config():
+    # a table keeps a read-only copy of the rows it was given, so a config
+    # runs on the rows it was checked against
+    rows = {48: ScheduleRow(share_us=400.0, epsilon_us=50.0)}
+    table = ScheduleTable(rows=rows)
+    rows[48] = ScheduleRow(share_us=100.0, epsilon_us=0.0)
+    assert table.rows[48] == ScheduleRow(share_us=400.0, epsilon_us=50.0)
+    for t in (table, DEFAULT_TABLE):
+        with pytest.raises(TypeError):
+            t.rows[48] = ScheduleRow(share_us=100.0, epsilon_us=0.0)
+        with pytest.raises(TypeError):
+            del t.rows[48]
+    assert DEFAULT_TABLE.rows[48] == ScheduleRow(share_us=421.5,
+                                                 epsilon_us=103.5)
+
+
+def test_a_config_pickles_with_its_table():
+    config = SimConfig(n_stations=2, protocol=ProtocolKind.CF_MAC, rate=48,
+                       schedule=ScheduleTable(rows={48: ScheduleRow(
+                           share_us=400.0, epsilon_us=50.0)}))
+    back = pickle.loads(pickle.dumps(config))
+    assert back == config and back.cycle_us == 900
+    with pytest.raises(TypeError):
+        back.schedule.rows[48] = DEFAULT_TABLE.rows[48]
